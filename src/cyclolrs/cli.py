@@ -37,7 +37,6 @@ class RunConfig:
     output_format: str = "text"
     bfile_path: str = None
     conjecture_bound: bool = False
-    threads: int = None
     timings: bool = False
 
 
@@ -283,7 +282,6 @@ def cmd_lrs_orders(f, cfg):
         verify=cfg.verify,
         mode=_LRS_MODES[cfg.mode],
         conjecture_bound=cfg.conjecture_bound,
-        threads=cfg.threads,
     )
     elapsed = time.perf_counter() - t0
     result = {
@@ -423,7 +421,6 @@ def build_parser():
     p.add_argument("--verify", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--conjecture-bound", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("bench", help="timing scenarios over generated inputs")
     p.add_argument("scenario", choices=("index", "factors", "lrs", "all"))
@@ -440,7 +437,6 @@ def main(argv=None):
         output_format=args.format,
         bfile_path=args.bfile,
         conjecture_bound=getattr(args, "conjecture_bound", False),
-        threads=getattr(args, "threads", None),
         timings=args.timings,
     )
     try:
@@ -461,7 +457,7 @@ def main(argv=None):
             else:
                 result, elapsed, prep, text = cmd_lrs_orders(f, cfg)
             degree = P.degree(f)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"cyclo: error: {exc}", file=sys.stderr)
         return 2
     _emit(cfg, args.command, degree, result, elapsed, prep, text)

@@ -180,6 +180,11 @@ def find_cyclo_factor_indexes(f, rng=None, verify=True, preprocess=False):
     if rng is None:
         rng = random.Random()
     original = list(f)
+    f = P.canonical(f)
+    r = 0
+    while f[r] == 0:
+        r += 1
+    f = f[r:]  # Phi_k(0) != 0: a power of x hides no index
     if preprocess:
         f = P.radical_poly(f)
         rev = P.reverse(f)

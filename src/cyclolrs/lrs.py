@@ -7,17 +7,26 @@ reduced image and one of its root-of-unity twists rules the order out.
 Surviving orders are only probable and can be settled exactly afterwards
 through a Moebius product of inflated Graeffe transforms.  Two classical
 resultant-based detectors are included as slow reference oracles.
+
+A Galois certificate usually ends the scan after its first batch, which
+holds every candidate up to 18.  An order k puts Q(zeta_k), of degree
+phi(k), inside the splitting field, and a Galois group containing A_d
+(d >= 5) has abelian quotients of order at most 2, so only k in
+{2, 3, 4, 6} can remain.  Factorization patterns mod primes are
+Frobenius cycle types (Dedekind); patterns with no common proper subset
+sum prove irreducibility, and a prime cycle length q with
+d/2 < q <= d - 3 then forces A_d into the group (Jordan).
 """
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import factors
 from . import poly as P
 from .modpoly import (
+    ddf_degrees,
     gcd_lists_mod,
     gcd_mod,
     inv_series_mod,
@@ -31,6 +40,7 @@ from .numtheory import (
     factorize,
     find_prime_in_progression,
     inverse_totient_max,
+    is_prime,
     moebius,
     primitive_kth_root,
     primitive_root,
@@ -317,14 +327,15 @@ _BATCH_LCM_LIMIT = 10**8
 
 
 def _batch_partition(ks):
-    """Split the ascending candidate list into groups with a small lcm.
+    """Split the ascending candidate list into groups with a small lcm,
+    yielded one at a time.
 
     Greedy sweep: each group absorbs every pending k that keeps the
     running lcm under the limit.  An lcm only grows, so a k passed over
     can never divide the group's final modulus, and one sweep per group
-    is complete.  Group minima strictly increase.
+    is complete.  Group minima strictly increase.  Every k <= 18 lands
+    in the first group, since lcm(3..18) is below the limit.
     """
-    batches = []
     pending = list(ks)
     while pending:
         m = 1
@@ -341,9 +352,8 @@ def _batch_partition(ks):
                         fac[q] = e
             else:
                 rest.append(k)
-        batches.append((m, fac, group))
+        yield m, fac, group
         pending = rest
-    return batches
 
 
 def _batch_survivors(core, batch, seed_key):
@@ -436,6 +446,64 @@ def _modular_test(core, k, seed_key):
     return True
 
 
+def _galois_certificate(core, seed_key, budget):
+    """Try to prove that the Galois group of core contains A_d.
+
+    Dedekind: at a prime p not dividing the leading coefficient where
+    core stays square-free, the factor degrees mod p are the cycle type
+    of a Frobenius element.  A proper factor over Q of degree m would
+    make m a subset sum of every such cycle type, so an empty
+    intersection of the subset-sum sets proves irreducibility.  Jordan:
+    a transitive group holding a cycle of prime length q with
+    d/2 < q <= d - 3 is primitive and contains A_d (a cycle type with
+    such a q has a power that is a q-cycle).  Returns the number of
+    cycle types used, or None once budget primes are drawn, or half of
+    them without proving irreducibility.  The primes come from an
+    isolated substream.
+    """
+    d = P.degree(core)
+    jordan = {q for q in range(d // 2 + 1, d - 2) if is_prime(q)}
+    if not jordan:
+        return None  # d < 8
+    sub = random.Random(seed_key)
+    common = (1 << d) - 2  # subset sums 1..d-1 shared by every cycle type
+    cycle = False
+    used = 0
+    for drawn in range(1, budget + 1):
+        # primes near 2^25.5: residues stay single-digit ints, and below
+        # degree 4000 packed products fit modpoly's 8-byte slots
+        p = find_prime_in_progression(2, min_value=1 << 25, rng=sub)
+        if core[-1] % p == 0:
+            continue
+        fbar = [a % p for a in core]
+        if len(gcd_lists_mod(fbar, [j * a % p for j, a in enumerate(fbar)][1:], p)) > 1:
+            continue  # p divides the discriminant
+        sums = 1
+        for e in ddf_degrees(fbar, p):
+            sums |= sums << e
+            cycle = cycle or e in jordan
+        common &= sums
+        used += 1
+        if not common:
+            if cycle:
+                return used
+        elif 2 * drawn >= budget:
+            return None  # probably reducible
+    return None
+
+
+def _certificate_budget(d, later):
+    """Primes the certificate may draw: a deterministic function of the
+    degree and of the count of later-batch candidates it would spare.
+    Measured from degree 12 to 100, scanning those costs as much as
+    later / d certificate primes or more, so above degree 50 a failed
+    attempt adds at most about half the scan it tried to save.  For a
+    generic input a cycle type holds a Jordan prime with chance 0.15 or
+    more, so the floor of 32 misses one only about once in a thousand
+    inputs; below degree 50 that floor can cost more than the scan."""
+    return max(32, later // (2 * d))
+
+
 def _report(found, log, mode, conjecture_bound):
     return OrderReport(
         orders=tuple(sorted(found)),
@@ -452,7 +520,6 @@ def lrs_degeneracy_orders(
     verify=True,
     mode="all_orders",
     conjecture_bound=False,
-    threads=None,
 ):
     """Detect every order k >= 2 for which two distinct roots of f differ
     by a primitive k-th root of unity.
@@ -461,10 +528,11 @@ def lrs_degeneracy_orders(
     each is screened by three rounds of modular twisted-gcd tests and,
     when verify is set, settled exactly.  first_order stops at the
     smallest confirmed order, decision_only at the first survivor after
-    the stronger decision preprocessing.  Results are deterministic for
-    a fixed seed: every candidate draws its primes from an isolated
-    substream, so the outcome is independent of scan order and thread
-    count.
+    the stronger decision preprocessing.  After the first batch, which
+    holds every candidate up to 18, a Galois certificate may end the
+    scan: see _galois_certificate.  Results are deterministic for a
+    fixed seed: every candidate draws its primes from an isolated
+    substream, so the outcome is independent of scan order.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -495,51 +563,49 @@ def lrs_degeneracy_orders(
 
     ks = set(lrs_order_candidates(d, conjecture_bound=conjecture_bound).orders)
     ks.update(k for k in log.implied_orders if k >= 3)
-    batches = _batch_partition(sorted(ks))
-
-    def batch_job(batch):
-        return _batch_survivors(core, batch, f"{master}:batch:{batch[2][0]}")
-
-    def order_test(k):
-        return _modular_test(core, k, f"{master}:{k}")
-
-    if mode == "all_orders":
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                survived = [k for lst in pool.map(batch_job, batches) for k in lst]
-                survived.sort()
-                flags = list(pool.map(order_test, survived))
-            probables = [k for k, ok in zip(survived, flags) if ok]
-        else:
-            survived = sorted(k for b in batches for k in batch_job(b))
-            probables = [k for k in survived if order_test(k)]
-        for k in probables:
-            if verify:
-                status = "verified" if verify_order(core, k) else "refuted"
-            else:
-                status = "probable"
-            found.append((k, status))
-        return _report(found, log, mode, conjecture_bound)
-
-    # first_order / decision_only: stop at the smallest confirmed order.
-    # Group minima increase, so once a group starts above the best order
-    # in hand no later group can beat it.
+    # first_order / decision_only stop at the smallest confirmed order,
+    # best.  Group minima increase, so once a group starts above best no
+    # later group can beat it.
     best = None
-    for batch in batches:
-        if best is not None and batch[2][0] > best:
+    for i, batch in enumerate(_batch_partition(sorted(ks))):
+        group = batch[2]
+        if best is not None and group[0] > best:
             break
-        for k in sorted(batch_job(batch)):
+        kept = []
+        for k in sorted(_batch_survivors(core, batch, f"{master}:batch:{group[0]}")):
             if best is not None and k >= best:
                 break
-            if not order_test(k):
+            if not _modular_test(core, k, f"{master}:{k}"):
                 continue
+            kept.append(k)
             if not verify:
+                status = "probable"
+            else:
+                status = "verified" if verify_order(core, k) else "refuted"
+            if mode != "all_orders" and status != "refuted":
                 best = k
                 break
-            if verify_order(core, k):
-                best = k
+            found.append((k, status))
+        # the first batch holds 3, 4 and 6, the only orders >= 3 that a
+        # certified input can carry (see the module docstring); the roots
+        # of a palindromic core pair up as a, 1/a, a block system that
+        # rules out the certificate
+        if (
+            i == 0
+            and best is None
+            and len(group) < len(ks)
+            and not log.implied_orders
+            and set(kept) <= {3, 4, 6}
+            and not P.is_palindromic(core)
+        ):
+            budget = _certificate_budget(d, len(ks) - len(group))
+            used = _galois_certificate(core, f"{master}:galois", budget)
+            if used is not None:
+                log.steps.append(
+                    f"Galois group contains A_{d} (cycle types at {used} primes): "
+                    "no order above 6"
+                )
                 break
-            found.append((k, "refuted"))
     if best is not None:
         found = [(k, s) for k, s in found if k < best]
         found.append((best, "verified" if verify else "probable"))

@@ -199,7 +199,7 @@ def test_criterion_7_random_nondegeneracy_trend():
         if f[0] == 0:
             f[0] = 1
         t0 = time.perf_counter()
-        rep = lrs_degeneracy_orders(f, rng=rng.randrange(2**32), verify=True, threads=None)
+        rep = lrs_degeneracy_orders(f, rng=rng.randrange(2**32), verify=True)
         times[d] = time.perf_counter() - t0
         if rep.verified_orders():
             leftover.append((d, rep.orders))

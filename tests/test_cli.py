@@ -149,13 +149,6 @@ def test_lrs_modes_and_flags(capsys):
     assert doc["result"]["mode"] == "first_order"
 
 
-def test_lrs_threads_match_sequential(capsys):
-    argv = ["lrs", "3*x^0+6*x^3+6*x^4+3*x^5+x^6", "--verify", "--seed", "11"]
-    _, solo, _ = run_json(capsys, argv)
-    _, pooled, _ = run_json(capsys, argv + ["--threads", "2"])
-    assert solo["result"] == pooled["result"]
-
-
 def test_lrs_conjecture_bound_flag(capsys):
     code, doc, _ = run_json(
         capsys,
@@ -230,6 +223,25 @@ def test_zero_polynomial_rejected_downstream(capsys):
     assert main(["index", "0"]) == 2
     assert main(["lrs", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, target, exc",
+    [
+        (["factors", "x^2+x+1"], "find_cyclo_factor_indexes",
+         RuntimeError("evaluation point budget exhausted")),
+        (["lrs", "x^2+3*x+3"], "lrs_degeneracy_orders", ZeroDivisionError("modulus")),
+    ],
+)
+def test_library_failures_exit_two_without_traceback(monkeypatch, capsys, command, target, exc):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, boom)
+    assert main(command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cyclo: error: ") and str(exc) in err
+    assert "Traceback" not in err
 
 
 def test_missing_file_exits_two(capsys):

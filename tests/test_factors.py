@@ -173,3 +173,12 @@ def test_unverified_mode():
     r = find_cyclo_factor_indexes(f, rng=random.Random(2), verify=False)
     assert r.verified is None
     assert set(r.candidates) >= {3, 4}
+
+
+def test_power_of_x_is_stripped_before_the_sieve():
+    # x^1000000 used to sieve totients up to 8*10^6; now it answers at once
+    rep = find_cyclo_factor_indexes([0] * 1_000_000 + [1], rng=random.Random(1), verify=True)
+    assert rep.verified_low == [] and rep.candidates == [] and rep.verified == {}
+    f = [0] * 5 + phi_poly(7)
+    rep = find_cyclo_factor_indexes(f, rng=random.Random(2), verify=True)
+    assert verified_set(rep) == [7]

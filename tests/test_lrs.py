@@ -10,6 +10,7 @@ from cyclolrs.cyclotomic import cyclotomic_product, phi_poly
 from cyclolrs.lrs import (
     CandidateOrders,
     OrderReport,
+    _galois_certificate,
     cdm_algorithm1,
     cdm_algorithm2_first_order,
     lrs_degeneracy_orders,
@@ -377,11 +378,6 @@ def test_scan_deterministic_for_fixed_seed():
     assert scan(f, rng=99) == scan(f, rng=99)
 
 
-def test_thread_count_does_not_change_report():
-    f = [3, 0, 0, 6, 6, 3, 1]
-    assert scan(f, rng=99) == scan(f, rng=99, threads=3)
-
-
 def test_report_shape():
     rep = scan([2, 4, 2, 0, 1])
     assert isinstance(rep, OrderReport)
@@ -454,3 +450,70 @@ def test_cdm2_agrees_with_minimum_order():
         rep = lrs_degeneracy_orders(f, rng=5)
         smallest = rep.verified_orders()[0]
         assert cdm_algorithm2_first_order(f) == smallest
+
+
+# ------------------------------------------------------ Galois certificate
+
+
+def certified(rep):
+    return any(step.startswith("Galois group contains A_") for step in rep.preprocessing_log)
+
+
+def random_poly(rng, d, h=50):
+    f = [rng.randint(-h, h) for _ in range(d)] + [rng.randint(1, h)]
+    if f[0] == 0:
+        f[0] = 1
+    return f
+
+
+def scaled_phi(k, lam):
+    return [c * lam**j for j, c in enumerate(phi_poly(k))]
+
+
+def uncertifiable_corpus():
+    """Inputs whose Galois group cannot contain A_d: orders outside
+    {2, 3, 4, 6}, compositions g(x^r), cyclotomic products and plain
+    reducible products, all of degree >= 8 and content-free."""
+    rng = random.Random(808)
+    out = []
+    for (a, b), lam in [((5, 7), 2), ((7, 12), 3), ((11, 3), 5), ((9, 10), 7), ((5, 8), 3)]:
+        r = random_poly(rng, rng.randint(4, 8))
+        out.append(P.primitive_part(P.mul(P.mul(scaled_phi(a, lam), scaled_phi(b, lam)), r)))
+    for r in (2, 3):
+        out.append(P.inflate(random_poly(rng, 5), r))
+    out += [phi_poly(15), phi_poly(21), cyclotomic_product([3, 5, 7]), cyclotomic_product([5, 16])]
+    for da, db in [(4, 4), (1, 8), (3, 9), (2, 10)]:
+        out.append(P.mul(random_poly(rng, da), random_poly(rng, db)))
+    return [P.primitive_part(P.radical_poly(f)) for f in out]
+
+
+def test_certificate_never_granted_without_a_full_galois_group():
+    for f in uncertifiable_corpus():
+        assert P.degree(f) >= 8
+        assert _galois_certificate(f, "certificate-test", 64) is None, f
+
+
+def test_scan_does_not_certify_degenerate_or_reducible_inputs():
+    rng = random.Random(9)
+    for f in uncertifiable_corpus()[:9]:
+        for mode in ("all_orders", "first_order", "decision_only"):
+            rep = scan(f, rng=rng.randrange(2**32), mode=mode)
+            assert not certified(rep), (f, mode)
+
+
+def test_certified_scans_agree_with_oracle_at_low_degree():
+    rng = random.Random(2024)
+    took = 0
+    total = 12
+    for i in range(total):
+        core, _ = preprocess(random_poly(rng, 8 + i % 5))
+        rep = scan(core, rng=rng.randrange(2**32))
+        assert rep.verified_orders() == cdm_algorithm1(core), core
+        took += certified(rep)
+    assert 2 * took >= total
+
+
+def test_certificate_log_line_is_deterministic():
+    f = random_poly(random.Random(4), 30, h=1024)
+    a, b = scan(f, rng=17), scan(f, rng=17)
+    assert a == b and certified(a) and a.orders == ()

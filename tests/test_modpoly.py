@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,6 +11,7 @@ from cyclolrs.cyclotomic import phi_poly
 from cyclolrs.modpoly import (
     PrimeFieldPoly,
     _rem_lists,
+    ddf_degrees,
     gcd_lists_mod,
     gcd_mod,
     inv_series_mod,
@@ -183,3 +185,71 @@ def test_gcd_lists_agrees_with_wrapper():
     f = fp(13, 3, 1, 4, 1)
     g = fp(13, 2, 7, 1)
     assert tuple(gcd_lists_mod(f.coeffs, g.coeffs, 13)) == gcd_mod(f, g).coeffs
+
+
+def _factor_degrees_by_trial_division(f, p):
+    # strip monic irreducibles of increasing degree: the first divisor of
+    # each degree found after all smaller degrees are gone is irreducible
+    f = gcd_lists_mod(f, f, p)  # monic copy
+    out = []
+    e = 1
+    while len(f) > 1:
+        if 2 * e > len(f) - 1:
+            return out + [len(f) - 1]
+        for tail in itertools.product(range(p), repeat=e):
+            g = list(tail) + [1]
+            if not _rem_lists(f, g, p):
+                out.append(e)
+                f = _exact_quotient(f, g, p)
+                break
+        else:
+            e += 1
+    return out
+
+
+def _exact_quotient(a, g, p):
+    # schoolbook division of a by monic g, remainder known to be zero
+    a = list(a)
+    dg = len(g) - 1
+    q = [0] * (len(a) - dg)
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = a[i]
+        q[i - dg] = c
+        for j in range(dg + 1):
+            a[i - dg + j] = (a[i - dg + j] - c * g[j]) % p
+    return q
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_ddf_degrees_match_trial_division(p):
+    rng = random.Random(p)
+    seen = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        f = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        deriv = [j * a % p for j, a in enumerate(f)][1:]
+        if len(gcd_lists_mod(f, deriv, p)) > 1:
+            continue  # ddf_degrees wants a square-free image
+        assert ddf_degrees(f, p) == sorted(_factor_degrees_by_trial_division(f, p)), f
+        seen += 1
+    assert seen >= 100
+
+
+def test_ddf_degrees_pinned():
+    # x^4 + 1 splits into quadratics mod 3 and into linear factors mod 17;
+    # x^5 - x - 1 is irreducible mod 5 (an Artin-Schreier polynomial)
+    assert ddf_degrees([1, 0, 0, 0, 1], 3) == [2, 2]
+    assert ddf_degrees([1, 0, 0, 0, 1], 17) == [1, 1, 1, 1]
+    assert ddf_degrees([-1, -1, 0, 0, 0, 1], 5) == [5]
+    # Phi_11 splits into factors of degree ord_11(p)
+    for p, e in [(2, 10), (3, 5), (23, 1), (43, 2)]:
+        assert ddf_degrees(phi_poly(11), p) == [e] * (10 // e)
+
+
+def test_mul_lists_low_coefficients():
+    p = 1_000_003
+    a, b = [3, 0, 5, 7], [2, 9, 1]
+    full = mul_lists_mod(a, b, p)
+    assert mul_lists_mod(a, b, p, 3) == full[:3]
+    assert mul_lists_mod([0, 0, 1], [0, 1], p, 2) == [0, 0]
+    assert mul_lists_mod(a, [], p, 2) == [0, 0]
