@@ -158,27 +158,6 @@ def parse_poly(text):
     return P.canonical(f)
 
 
-def format_poly(f):
-    """Print descending-power form that parse_poly reads back verbatim."""
-    f = P.canonical(f)
-    if P.is_zero(f):
-        return "0"
-    parts = []
-    for j in range(len(f) - 1, -1, -1):
-        a = f[j]
-        if a == 0:
-            continue
-        sign = "-" if a < 0 else ("+" if parts else "")
-        mag = abs(a)
-        if j == 0:
-            body = str(mag)
-        else:
-            xp = "x" if j == 1 else f"x^{j}"
-            body = xp if mag == 1 else f"{mag}*{xp}"
-        parts.append(sign + body)
-    return "".join(parts)
-
-
 _INT_LIST = re.compile(r"[+-]?\d+(?:[,\s]+[+-]?\d+)*\Z")
 
 

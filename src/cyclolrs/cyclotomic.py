@@ -73,24 +73,7 @@ def height_bound_by_degree(d):
 
 @lru_cache(maxsize=4096)
 def _phi_squarefree(r):
-    # Phi_r = prod over divisors d of (1 - x^d)^mu(r/d); the sign
-    # discrepancy against (x^d - 1) factors cancels because the counts
-    # of mu = +1 and mu = -1 divisors are equal.  All arithmetic stays
-    # truncated at the known final degree.
-    n = euler_phi(r)
-    c = [0] * (n + 1)
-    c[0] = 1
-    for d in divisors(r):
-        if d > n:
-            continue
-        mu = moebius(r // d)
-        if mu == 1:
-            for i in range(n, d - 1, -1):
-                c[i] -= c[i - d]
-        elif mu == -1:
-            for i in range(d, n + 1):
-                c[i] += c[i - d]
-    return tuple(c)
+    return tuple(phi_suffix(r, euler_phi(r) + 1))
 
 
 def phi_poly(k):

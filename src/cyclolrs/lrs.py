@@ -28,12 +28,9 @@ from . import poly as P
 from .modpoly import (
     ddf_degrees,
     gcd_lists_mod,
-    gcd_mod,
     inv_series_mod,
     mul_lists_mod,
-    reduce_mod,
     rem_lists_fast,
-    scale_arg_mod,
 )
 from .numtheory import (
     divisors,
@@ -366,27 +363,16 @@ def _batch_survivors(core, batch, seed_key):
     preserving prime); whatever survives is retested order by order.
     """
     m, fac, group = batch
-    sub = random.Random(seed_key)
-    d = P.degree(core)
-    floor = 8 * d * d
-    for _ in range(25):
-        p = find_prime_in_progression(
-            m, min_cofactor=64, min_value=floor + 1, rng=sub
-        )
-        if core[-1] % p:
-            break
-    else:
+    try:
+        p = _degree_preserving_prime(core, m, random.Random(seed_key))
+    except RuntimeError:
         return list(group)  # no usable prime: leave the group to per-k tests
     fbar = [a % p for a in core]
     pf = dict(fac)
     for q, e in factorize((p - 1) // m):
         pf[q] = pf.get(q, 0) + e
     g = primitive_root(p, tuple(sorted(pf.items())))
-    if len(group) == 1:
-        zeta = pow(g, (p - 1) // group[0], p)
-        tw = _twist(fbar, zeta, p)
-        return [] if len(gcd_lists_mod(fbar, tw, p)) == 1 else list(group)
-    inv_rev = inv_series_mod(fbar[::-1], d + 1, p)
+    inv_rev = inv_series_mod(fbar[::-1], len(fbar), p)
     acc = None
     for k in group:
         zeta = pow(g, (p - 1) // k, p)
@@ -409,39 +395,47 @@ def _twist(fbar, zeta, p):
     return out
 
 
-def _degree_preserving_prime(core, k, rng):
+def _degree_preserving_prime(core, m, rng):
+    """A seeded prime p = 1 (mod m) above 8 deg(core)^2 that does not
+    divide the leading coefficient of core, so reduction mod p keeps the
+    degree.  Serves a single order k = m and a batch modulus m alike.
+    The least cofactor (p - 1) / m starts at 64 and doubles after every
+    25 draws in a row that divide the leading coefficient."""
     d = P.degree(core)
     floor = 8 * d * d
     s_min = 64
     for _ in range(6):
         for _ in range(25):
             p = find_prime_in_progression(
-                k, min_cofactor=s_min, min_value=floor + 1, rng=rng
+                m, min_cofactor=s_min, min_value=floor + 1, rng=rng
             )
             if core[-1] % p:
                 return p
         s_min *= 2  # same leading coefficient keeps blocking: go higher
-    raise RuntimeError(f"no degree-preserving prime for order {k}")
+    raise RuntimeError(f"no degree-preserving prime for modulus {m}")
 
 
 def _modular_test(core, k, seed_key):
     """Three rounds of twisted-gcd tests for one candidate order.
 
-    One-sided: a k that the input genuinely carries always survives,
-    because the witnessing factor maps injectively whenever the degree
-    is preserved; a trivial gcd therefore refutes k outright.
+    Each round draws a degree-preserving prime p = 1 (mod k) and takes
+    gcd(f, f(zeta x)) in F_p[x] for every primitive k-th root zeta up
+    to inversion.  One-sided: a k that the input genuinely carries
+    always survives, because the witnessing factor maps injectively
+    whenever the degree is preserved; a trivial gcd therefore refutes
+    k outright.
     """
     sub = random.Random(seed_key)
     for _ in range(3):
         p = _degree_preserving_prime(core, k, sub)
-        fbar, _ = reduce_mod(core, p)
+        fbar = [a % p for a in core]
         zeta = primitive_kth_root(p, k)
         zj = 1
         for j in range(1, k // 2 + 1):
             zj = zj * zeta % p
             if math.gcd(j, k) != 1:
                 continue
-            if gcd_mod(fbar, scale_arg_mod(fbar, zj)).degree() == 0:
+            if len(gcd_lists_mod(fbar, _twist(fbar, zj, p), p)) == 1:
                 return False
     return True
 

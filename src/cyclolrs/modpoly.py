@@ -1,56 +1,22 @@
-"""Dense polynomial arithmetic over a word-size prime field.
+"""Dense polynomial kernels over a word-size prime field.
 
-Same ascending-coefficient convention as the poly module; the zero
-polynomial has an empty coefficient tuple.  Degrees stay small (at most
-the degree of the integer input), so schoolbook arithmetic is the
-default.  The list-level helpers at the bottom pack coefficients into
-one big integer so that products ride on CPython's native multiply;
-the order scanner leans on them where schoolbook would dominate, and
-its Galois certificate on the distinct-degree factorization built
+Plain ascending coefficient lists of residues in [0, p), the same
+convention as the poly module, with the zero polynomial as the empty
+list; nothing here checks that p is prime.  Products pack coefficients
+into one big integer so that they ride on CPython's native multiply;
+the remainder, series inverse, gcd and the distinct-degree
+factorization behind the order scanner's Galois certificate are built
 from them.
 """
 
 import sys
 from array import array
-from dataclasses import dataclass
-
-from .numtheory import is_prime
-
-
-@dataclass(frozen=True)
-class PrimeFieldPoly:
-    p: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if any(not 0 <= c < self.p for c in self.coeffs):
-            raise ValueError("coefficients must be reduced residues")
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
 
 
 def _strip(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def reduce_mod(f, p):
-    """Coefficientwise image of an integer polynomial in F_p.
-
-    Returns (image, degree_dropped); callers that need the degree
-    preserved must check the flag.
-    """
-    c = _strip([a % p for a in f])
-    return PrimeFieldPoly(p, tuple(c)), len(c) != len(f)
 
 
 def _rem_lists(a, b, p):
@@ -69,53 +35,6 @@ def _rem_lists(a, b, p):
             a[off:i] = [(x - q * y) % p for x, y in zip(a[off:i], bl)]
             a[i] = 0
     return _strip(a)
-
-
-def monic_mod(f):
-    """Scale by the inverse leading coefficient."""
-    if f.is_zero():
-        return f
-    lc = f.coeffs[-1]
-    if lc == 1:
-        return f
-    inv = pow(lc, -1, f.p)
-    return PrimeFieldPoly(f.p, tuple(c * inv % f.p for c in f.coeffs))
-
-
-def gcd_mod(f, g):
-    """Monic gcd in F_p[x] by the Euclidean algorithm."""
-    if f.p != g.p:
-        raise ValueError("modulus mismatch")
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd of two zero polynomials")
-    return PrimeFieldPoly(f.p, tuple(gcd_lists_mod(f.coeffs, g.coeffs, f.p)))
-
-
-def mul_mod(f, g):
-    if f.p != g.p:
-        raise ValueError("modulus mismatch")
-    if f.is_zero() or g.is_zero():
-        return PrimeFieldPoly(f.p, ())
-    p = f.p
-    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, a in enumerate(f.coeffs):
-        if a:
-            for j, b in enumerate(g.coeffs):
-                out[i + j] = (out[i + j] + a * b) % p
-    return PrimeFieldPoly(p, tuple(out))
-
-
-def scale_arg_mod(f, c):
-    """f(c*x): coefficient j picks up the factor c^j."""
-    c %= f.p
-    if c == 0:
-        raise ValueError("scaling residue must be nonzero")
-    out = []
-    power = 1
-    for a in f.coeffs:
-        out.append(a * power % f.p)
-        power = power * c % f.p
-    return PrimeFieldPoly(f.p, tuple(out))
 
 
 # slots of at most 8 bytes are widened to 8, which array("Q") packs and

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .modpoly import gcd_lists_mod
 from .numtheory import factorize
 
 import math
@@ -32,14 +33,6 @@ def canonical(f) -> list[int]:
 def degree(f) -> int:
     """Degree, with the zero polynomial at -1."""
     return len(f) - 1
-
-
-def is_zero(f) -> bool:
-    return not canonical(f)
-
-
-def constant(c: int) -> list[int]:
-    return [c] if c else []
 
 
 def add(f, g) -> list[int]:
@@ -225,29 +218,6 @@ def _prem(A, B) -> list[int]:
 _FASTPATH_PRIMES = (2**61 - 1, 2**31 - 1, 4294967291, 2147483629)
 
 
-def _gcd_mod_p(f, g, p):
-    a = [c % p for c in f]
-    b = [c % p for c in g]
-    while b and b[-1] == 0:
-        b.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    while b:
-        # a mod b over F_p
-        inv = pow(b[-1], p - 2, p)
-        db = len(b) - 1
-        r = list(a)
-        while r and len(r) - 1 >= db:
-            coef = r[-1] * inv % p
-            off = len(r) - 1 - db
-            for i in range(db + 1):
-                r[off + i] = (r[off + i] - coef * b[i]) % p
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, r
-    return a
-
-
 def _certainly_coprime(f, g) -> bool:
     # One-sided check: if both degrees survive reduction mod p and the gcd
     # mod p is constant, the gcd over Z is constant too.  Never claims a
@@ -255,7 +225,7 @@ def _certainly_coprime(f, g) -> bool:
     for p in _FASTPATH_PRIMES:
         if f[-1] % p == 0 or g[-1] % p == 0:
             continue
-        return len(_gcd_mod_p(f, g, p)) <= 1
+        return len(gcd_lists_mod([c % p for c in f], [c % p for c in g], p)) <= 1
     return False
 
 
@@ -375,36 +345,6 @@ def _interpolate_int(xs, ys) -> list[int]:
             raise ArithmeticError("interpolation produced a non-integer")
         out.append(c.numerator)
     return canonical(out)
-
-
-def resultant_y_scaled(f, m: int) -> list[int]:
-    """res_y(f(xy), y^m - 1) as a polynomial in x.
-
-    Equals the product of f(x*zeta) over all m-th roots of unity zeta.  Built
-    by evaluation at deg(f)*m + 1 integer points and exact interpolation.
-    """
-    f = canonical(f)
-    if not f:
-        raise ValueError("resultant of a zero polynomial")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    d = len(f) - 1
-    A = [-1] + [0] * (m - 1) + [1]  # y^m - 1
-    n = d * m + 1
-    xs = []
-    ys = []
-    t = 0
-    while len(xs) < n:
-        ft = [a * t**j for j, a in enumerate(f)]
-        ft = canonical(ft)
-        if ft:
-            val = _res_standard(A, ft)
-        else:
-            val = 0
-        xs.append(t)
-        ys.append(val)
-        t = -t if t > 0 else -t + 1
-    return _interpolate_int(xs, ys)
 
 
 def _graeffe_prime2(f) -> list[int]:

@@ -9,8 +9,8 @@ exponent.
 
 Verdict tags name the first check that rejected ("Q1" monic, "Q2" odd
 degree, "Q3" constant term, "Q4a" subleading coefficient, "Q4b" pure
-binomial, "Q4c" deflation shape, "Q4d" inflation arithmetic, "Q4e"
-core/inflation compatibility, "Q5a".."Q5d" the optional scans).
+binomial, "Q4c" deflation shape, "Q4d" inflation arithmetic, and "Q4e"
+core/inflation compatibility).
 """
 
 from dataclasses import dataclass, replace
@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from . import poly as P
 from .cyclotomic import (
     HeightBoundExceeded,
-    height_bound_by_degree,
     outer_coeff_bound,
     phi_poly,
     phi_suffix,
@@ -26,7 +25,6 @@ from .cyclotomic import (
 from .numtheory import (
     euler_phi,
     inverse_totient,
-    is_prime,
     moebius,
     radical_int,
 )
@@ -107,34 +105,6 @@ def quick_checks(f):
     return QuickChecksOutcome(core=g, inflation=r)
 
 
-def further_checks(f):
-    """Optional one-pass scans over a square-free-candidate core.
-
-    Returns a verdict when the scans decide, None when inconclusive.
-    Not part of the default pipeline.
-    """
-    d = P.degree(f)
-    if not P.is_palindromic(f):
-        return CycloVerdict("not_cyclotomic", checks_failed="Q5a")
-    h = P.height(f)
-    bound = height_bound_by_degree(d)
-    if bound is not None and h > bound:
-        return CycloVerdict("not_cyclotomic", checks_failed="Q5b")
-    v1 = P.eval_int(f, 1)
-    if v1 != 1:
-        # a square-free index with f(1) != 1 must be the prime d+1, and
-        # height 1 then forces every coefficient to equal 1
-        if v1 == d + 1 and is_prime(d + 1) and h == 1:
-            return CycloVerdict("cyclotomic", d + 1)
-        return CycloVerdict("not_cyclotomic", checks_failed="Q5c")
-    vm1 = P.eval_int(f, -1)
-    if vm1 != 1:
-        if vm1 == d + 1 and is_prime(d + 1) and h == 1:
-            return CycloVerdict("cyclotomic", 2 * (d + 1))
-        return CycloVerdict("not_cyclotomic", checks_failed="Q5d")
-    return None
-
-
 def _assemble(j, r, verify_ok, method, verified):
     if r > 1 and j % radical_int(r) != 0:
         return CycloVerdict("not_cyclotomic", method=method, checks_failed="Q4e")
@@ -174,7 +144,7 @@ def cyclo_index_prefix(f, verify=True, table=None):
         keep = []
         for n in cands:
             bound = outer_coeff_bound(m, n, table=table)
-            if bound is not None and any(abs(c) > bound for c in gm):
+            if bound is not None and P.height(gm) > bound:
                 continue
             try:
                 suf = phi_suffix(n, m, height_bound=bound)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from cyclolrs import cli
 from cyclolrs.cli import (
     PolySyntaxError,
-    format_poly,
     main,
     parse_poly,
     poly_from_arg,
@@ -50,6 +49,27 @@ def test_parse_poly_syntax_errors_carry_position():
         parse_poly("(x+1")
     with pytest.raises(PolySyntaxError):
         parse_poly("x$1")
+
+
+def format_poly(f):
+    """Descending-power form that parse_poly should read back verbatim."""
+    f = cli.P.canonical(f)
+    if not f:
+        return "0"
+    parts = []
+    for j in range(len(f) - 1, -1, -1):
+        a = f[j]
+        if a == 0:
+            continue
+        sign = "-" if a < 0 else ("+" if parts else "")
+        mag = abs(a)
+        if j == 0:
+            body = str(mag)
+        else:
+            xp = "x" if j == 1 else f"x^{j}"
+            body = xp if mag == 1 else f"{mag}*{xp}"
+        parts.append(sign + body)
+    return "".join(parts)
 
 
 def test_format_poly_pinned():

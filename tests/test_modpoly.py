@@ -8,71 +8,36 @@ from hypothesis import strategies as st
 
 from cyclolrs import poly as P
 from cyclolrs.cyclotomic import phi_poly
+from cyclolrs.lrs import _twist
 from cyclolrs.modpoly import (
-    PrimeFieldPoly,
     _rem_lists,
     ddf_degrees,
     gcd_lists_mod,
-    gcd_mod,
     inv_series_mod,
-    monic_mod,
     mul_lists_mod,
-    mul_mod,
-    reduce_mod,
     rem_lists_fast,
-    scale_arg_mod,
 )
 from cyclolrs.numtheory import primitive_kth_root
 
 
-def fp(p, *coeffs):
-    return PrimeFieldPoly(p, tuple(coeffs))
-
-
-def test_validation():
-    with pytest.raises(ValueError):
-        PrimeFieldPoly(6, (1,))
-    with pytest.raises(ValueError):
-        PrimeFieldPoly(5, (1, 7))
-    with pytest.raises(ValueError):
-        PrimeFieldPoly(5, (1, 0))
-    assert fp(5).is_zero()
-    assert fp(5).degree() == -1
-
-
-def test_reduce_mod_pinned():
-    g, dropped = reduce_mod([3, 7, 1], 7)
-    assert g == fp(7, 3, 0, 1) and not dropped
-    g, dropped = reduce_mod([0, 1, 7], 7)
-    assert g == fp(7, 0, 1) and dropped
-    g, dropped = reduce_mod([2, 4, 2, 0, 1], 17)
-    assert g == fp(17, 2, 4, 2, 0, 1) and not dropped
-    g, dropped = reduce_mod([], 5)
-    assert g.is_zero() and not dropped
-    g, dropped = reduce_mod([-1, -8], 5)
-    assert g == fp(5, 4, 2) and not dropped
+def monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 def test_gcd_mod_pinned():
-    assert gcd_mod(fp(5, 4, 0, 1), fp(5, 4, 1)) == fp(5, 4, 1)
-    assert gcd_mod(fp(5, 1, 0, 1), fp(5, 2, 0, 1)) == fp(5, 1)
-    f = fp(7, 3, 5, 2)
-    assert gcd_mod(f, f) == monic_mod(f)
-    assert gcd_mod(fp(5), fp(5, 2)) == fp(5, 1)
-    with pytest.raises(ValueError):
-        gcd_mod(fp(5, 1), fp(7, 1))
-    with pytest.raises(ValueError):
-        gcd_mod(fp(5), fp(5))
+    assert gcd_lists_mod([4, 0, 1], [4, 1], 5) == [4, 1]
+    assert gcd_lists_mod([1, 0, 1], [2, 0, 1], 5) == [1]
+    f = [3, 5, 2]
+    assert gcd_lists_mod(f, f, 7) == monic(f, 7)
+    assert gcd_lists_mod([], [2], 5) == [1]
+    assert gcd_lists_mod([], [], 5) == []
 
 
 def test_scale_arg_mod_pinned():
-    f = fp(13, 1, 1, 1)
-    assert scale_arg_mod(f, 1) == f
-    assert scale_arg_mod(fp(13, 1, 0, 1), 5) == fp(13, 1, 0, 12)
-    with pytest.raises(ValueError):
-        scale_arg_mod(f, 0)
-    with pytest.raises(ValueError):
-        scale_arg_mod(f, 13)
+    f = [1, 1, 1]
+    assert _twist(f, 1, 13) == f
+    assert _twist([1, 0, 1], 5, 13) == [1, 0, 12]
 
 
 @settings(max_examples=60)
@@ -81,14 +46,14 @@ def test_scale_roundtrip_and_multiplicative(data):
     p = data.draw(st.sampled_from([5, 7, 13, 31]))
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     deg = rng.randint(0, 6)
-    coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
-    f = PrimeFieldPoly(p, tuple(coeffs))
+    f = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
     c1 = rng.randrange(1, p)
     c2 = rng.randrange(1, p)
-    assert scale_arg_mod(scale_arg_mod(f, c1), c2) == scale_arg_mod(f, c1 * c2 % p)
+    assert _twist(_twist(f, c1, p), c2, p) == _twist(f, c1 * c2 % p, p)
     inv = pow(c1, -1, p)
-    assert scale_arg_mod(scale_arg_mod(f, c1), inv) == f
-    assert scale_arg_mod(f, c1).degree() == f.degree()
+    assert _twist(_twist(f, c1, p), inv, p) == f
+    twisted = _twist(f, c1, p)
+    assert len(twisted) == len(f) and twisted[-1] != 0
 
 
 @settings(max_examples=40)
@@ -99,14 +64,12 @@ def test_gcd_mod_common_factor(data):
 
     def rand_fp(dmax):
         deg = rng.randint(0, dmax)
-        return PrimeFieldPoly(
-            p, tuple([rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
-        )
+        return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
 
     f, g, h = rand_fp(4), rand_fp(4), rand_fp(3)
-    d = gcd_mod(mul_mod(f, h), mul_mod(g, h))
-    expected = mul_mod(monic_mod(h), gcd_mod(f, g))
-    assert d == monic_mod(expected)
+    d = gcd_lists_mod(mul_lists_mod(f, h, p), mul_lists_mod(g, h, p), p)
+    expected = mul_lists_mod(monic(h, p), gcd_lists_mod(f, g, p), p)
+    assert d == monic(expected, p)
 
 
 def test_degenerate_pair_visible_at_every_primitive_root():
@@ -115,20 +78,20 @@ def test_degenerate_pair_visible_at_every_primitive_root():
     # the scaled gcd nontrivial
     f = P.mul(phi_poly(3), phi_poly(5))
     p = 31
-    fbar, dropped = reduce_mod(f, p)
-    assert not dropped
+    fbar = [a % p for a in f]
+    assert fbar[-1] != 0
     z = primitive_kth_root(p, 15)
     for j in range(1, 15):
         if math.gcd(j, 15) != 1:
             continue
         zeta = pow(z, j, p)
-        g = gcd_mod(fbar, scale_arg_mod(fbar, zeta))
-        assert g.degree() >= 1, (j, zeta)
+        g = gcd_lists_mod(fbar, _twist(fbar, zeta, p), p)
+        assert len(g) >= 2, (j, zeta)
 
 
 def test_gcd_mod_coprime_case():
     # x and x+1 share nothing over any field
-    assert gcd_mod(fp(13, 0, 1), fp(13, 1, 1)) == fp(13, 1)
+    assert gcd_lists_mod([0, 1], [1, 1], 13) == [1]
 
 
 @settings(max_examples=60)
@@ -179,12 +142,6 @@ def test_fast_remainder_matches_elimination(data):
     ]
     inv = inv_series_mod(f[::-1], df + 1, p)
     assert rem_lists_fast(a, f, inv, p) == _rem_lists(list(a), f, p)
-
-
-def test_gcd_lists_agrees_with_wrapper():
-    f = fp(13, 3, 1, 4, 1)
-    g = fp(13, 2, 7, 1)
-    assert tuple(gcd_lists_mod(f.coeffs, g.coeffs, 13)) == gcd_mod(f, g).coeffs
 
 
 def _factor_degrees_by_trial_division(f, p):

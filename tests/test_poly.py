@@ -50,6 +50,27 @@ def sylvester_resultant(A, B):
     return det.numerator
 
 
+def resultant_y_scaled(f, m):
+    """res_y(f(xy), y^m - 1) as a polynomial in x.
+
+    Equals the product of f(x*zeta) over all m-th roots of unity zeta, so
+    it is the inflated Graeffe transform G_m(f)(x^m) up to sign.  Built by
+    evaluation at deg(f)*m + 1 integer points and exact interpolation.
+    """
+    f = P.canonical(f)
+    d = len(f) - 1
+    A = [-1] + [0] * (m - 1) + [1]  # y^m - 1
+    xs = []
+    ys = []
+    t = 0
+    while len(xs) < d * m + 1:
+        ft = P.canonical([a * t**j for j, a in enumerate(f)])
+        xs.append(t)
+        ys.append(P._res_standard(A, ft) if ft else 0)
+        t = -t if t > 0 else -t + 1
+    return P._interpolate_int(xs, ys)
+
+
 def rand_poly(rng, deg, bound=20, monic=False):
     f = [rng.randint(-bound, bound) for _ in range(deg)]
     f.append(1 if monic else rng.choice([c for c in range(-bound, bound + 1) if c]))
@@ -260,7 +281,7 @@ def test_resultant_multiplicative(data):
 def test_resultant_y_scaled_cube_roots():
     # for f = x^2 + x + 1 the scaled resultant against y^3 - 1 has repeated
     # factors: the root ratios include all cube roots of unity
-    R = P.resultant_y_scaled([1, 1, 1], 3)
+    R = resultant_y_scaled([1, 1, 1], 3)
     assert not P.is_squarefree(R)
     # and it is a polynomial in x^3
     assert all(c == 0 for j, c in enumerate(R) if j % 3)
@@ -272,7 +293,7 @@ def test_resultant_y_scaled_is_inflated_graeffe(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     f = rand_poly(rng, rng.randint(1, 4), 5)
     m = data.draw(st.integers(1, 4))
-    R = P.resultant_y_scaled(f, m)
+    R = resultant_y_scaled(f, m)
     G = P.inflate(P.graeffe(f, m), m)
     assert R == G or R == P.neg(G)
 
@@ -281,6 +302,36 @@ def test_is_squarefree():
     assert not P.is_squarefree([1, -2, 1])
     assert P.is_squarefree([1, 1, 1])
     assert P.is_squarefree([7])
+
+
+# fast-path primes of the coprimality check, which skips a prime dividing
+# either leading coefficient
+M61, M31 = 2**61 - 1, 2**31 - 1
+
+
+@pytest.mark.parametrize("lc", [1, M61, 5 * M61, M61 * M31])
+def test_coprime_fast_path_with_blocked_primes(lc):
+    # with lc 1 the check runs at 2^61 - 1, where the remainders carry
+    # 61-bit residues; M61 moves it to 2^31 - 1, M61 * M31 to the third
+    # fast-path prime
+    f = [3, 1, lc]
+    g = [7, 2, 1, lc]
+    assert P._certainly_coprime(f, g)
+    assert P.gcd_poly(f, g) == [1]
+    h = [M31 + 4, 1]
+    fh, gh = P.mul(h, f), P.mul(h, g)
+    assert not P._certainly_coprime(fh, gh)
+    assert P.gcd_poly(fh, gh) == h
+    assert P.is_squarefree(fh)
+    assert not P.is_squarefree(P.mul(fh, h))
+
+
+def test_coprime_fast_path_gives_way_when_every_prime_is_blocked():
+    lc = M61 * M31 * 4294967291 * 2147483629
+    f, g = [3, 1, lc], [7, 2, 1, lc]
+    assert not P._certainly_coprime(f, g)
+    assert P.gcd_poly(f, g) == [1]
+    assert P.is_squarefree(f)
 
 
 def test_height_pinned():

@@ -12,7 +12,6 @@ from cyclolrs.recognize import (
     cyclo_index,
     cyclo_index_eval,
     cyclo_index_prefix,
-    further_checks,
     quick_checks,
 )
 
@@ -119,18 +118,6 @@ def test_unverified_mode_reports_candidates():
     # quick-check decisions stay fully decided even without verification
     v = cyclo_index_prefix([1, 0, 0, 0, 1], verify=False)
     assert v.outcome == "cyclotomic"
-
-
-def test_further_checks_pinned():
-    assert further_checks([1, 1, 1, 1, 1]).index == 5
-    assert further_checks([1, -1, 1, -1, 1]).index == 10
-    v = further_checks([1, 3, 0, 3, 1])
-    assert (v.outcome, v.checks_failed) == ("not_cyclotomic", "Q5b")
-    v = further_checks([1, 1, 0, 1])
-    assert (v.outcome, v.checks_failed) == ("not_cyclotomic", "Q5a")
-    assert further_checks(phi_poly(15)) is None
-    v = further_checks([1, 1, 0, 1, 0, 1, 1])
-    assert (v.outcome, v.checks_failed) == ("not_cyclotomic", "Q5c")
 
 
 def test_cyclo_index_dispatch():
