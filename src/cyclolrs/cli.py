@@ -14,6 +14,7 @@ stable key order, so identical invocations give byte-identical output.
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -439,7 +440,14 @@ def main(argv=None):
     except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"cyclo: error: {exc}", file=sys.stderr)
         return 2
-    _emit(cfg, args.command, degree, result, elapsed, prep, text)
+    try:
+        _emit(cfg, args.command, degree, result, elapsed, prep, text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe, as `| head` does: point stdout at
+        # devnull so that the flush at exit fails no second time (the
+        # SIGPIPE note of Python's signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -5,8 +5,12 @@ The main scanner works modulo primes p = 1 + ks: whenever such a pair
 exists over C it survives reduction, so a single trivial gcd between the
 reduced image and one of its root-of-unity twists rules the order out.
 Surviving orders are only probable and can be settled exactly afterwards
-through a Moebius product of inflated Graeffe transforms.  Two classical
-resultant-based detectors are included as slow reference oracles.
+by verify_order: the twisted norm T_k(x), the product of f(zeta x) over
+the primitive k-th roots zeta, is rebuilt in Z[x] by CRT from its images
+modulo primes p = 1 (mod k) under a Landau-Mignotte bound, and a
+nontrivial gcd with f proves the order; one such prime usually refutes
+it first.  Two classical resultant-based detectors are included as slow
+reference oracles.
 
 A Galois certificate usually ends the scan after its first batch, which
 holds every candidate up to 18.  An order k puts Q(zeta_k), of degree
@@ -22,6 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 from . import factors
 from . import poly as P
@@ -33,12 +38,13 @@ from .modpoly import (
     rem_lists_fast,
 )
 from .numtheory import (
+    crt_symmetric,
     divisors,
+    euler_phi,
     factorize,
     find_prime_in_progression,
     inverse_totient_max,
     is_prime,
-    moebius,
     primitive_kth_root,
     primitive_root,
     totient_sieve,
@@ -115,20 +121,16 @@ def lrs_order_candidates(d, conjecture_bound=False):
     """
     if d < 2:
         raise ValueError("degree must be >= 2")
-    sieve = set()
-    for a in range(1, d + 1):
-        for b in range(1, a):
-            if (a * b) % 2 == 0:
-                sieve.add(a * b)
-    for a in range(2, d // 2 + 1, 2):
-        sieve.add(a * a)
     top = d * d - d
+    in_sieve = bytearray(top + 1)
+    for a in range(2, d + 1):
+        step = a if a % 2 == 0 else 2 * a  # a * b even, 0 < b < a
+        in_sieve[step : a * a : step] = b"\1" * len(range(step, a * a, step))
+    for a in range(2, d // 2 + 1, 2):
+        in_sieve[a * a] = 1
     divides_entry = bytearray(top + 1)
     for t in range(1, top + 1):
-        for v in range(t, top + 1, t):
-            if v in sieve:
-                divides_entry[t] = 1
-                break
+        divides_entry[t] = 1 in in_sieve[t::t]
     cap = d if conjecture_bound else top
     kmax = inverse_totient_max(top)
     phi = totient_sieve(kmax)
@@ -137,7 +139,9 @@ def lrs_order_candidates(d, conjecture_bound=False):
         for k in range(3, kmax + 1)
         if phi[k] <= cap and phi[k] <= top and divides_entry[phi[k]]
     )
-    return CandidateOrders(divisor_sieve=frozenset(sieve), orders=orders)
+    return CandidateOrders(
+        divisor_sieve=frozenset(compress(range(top + 1), in_sieve)), orders=orders
+    )
 
 
 def _reduce_once(f):
@@ -288,11 +292,15 @@ def verify_order(f, k):
     """Exact check that some pair of roots of f has ratio a primitive
     k-th root of unity.
 
-    The product of f(x*zeta) over the primitive k-th roots zeta is
-    assembled as a Moebius quotient of inflated Graeffe transforms; it
-    vanishes at a root of f precisely when that root has a partner k
-    steps of rotation away, so a nontrivial gcd with f is the verdict.
-    Order 2 shortcuts to gcd(f(x), f(-x)).
+    The twisted norm T_k(x), the product of f(zeta x) over the
+    primitive k-th roots zeta, vanishes at a root of f precisely when
+    that root has a partner k steps of rotation away, so a nontrivial
+    gcd(f, T_k) is the verdict.  One prime p = 1 (mod k) not dividing
+    lc(f) usually refutes k first: lc(T_k) = lc(f)^phi(k) survives
+    reduction, so a trivial gcd of f with the product of its twists
+    mod f in F_p[x] makes res(f, T_k) nonzero.  Otherwise T_k is built
+    exactly (_twisted_norm) and gcd_poly decides.  Order 2 shortcuts to
+    gcd(f(x), f(-x)).
     """
     f = P.canonical(f)
     if k < 2:
@@ -303,19 +311,56 @@ def verify_order(f, k):
         raise ValueError("input must be square-free")
     if k == 2:
         return P.degree(P.gcd_poly(f, _negate_arg(f))) >= 1
-    num = [1]
-    den = [1]
-    for d in divisors(k):
-        mu = moebius(k // d)
-        if mu == 0:
-            continue
-        rd = P.inflate(P.graeffe(f, d), d)
-        if mu == 1:
-            num = P.mul(num, rd)
-        else:
-            den = P.mul(den, rd)
-    twisted = P.div_exact(num, den)  # exact up to sign normalization
-    return P.degree(P.gcd_poly(f, twisted)) >= 1
+    p = next(_norm_primes(f, k))
+    fbar = [a % p for a in f]
+    if not _twists_share_factor(fbar, _primitive_powers(primitive_kth_root(p, k), k, p), p):
+        return False
+    return P.degree(P.gcd_poly(f, _twisted_norm(f, k))) >= 1
+
+
+def _norm_primes(f, k):
+    # ascending primes p = 1 (mod k) above 2^25 not dividing lc(f): the
+    # twists keep the degree, and near 2^25 products of degree up to
+    # 4000 fit modpoly's 8-byte slots
+    p = 1 << 25
+    while True:
+        p = find_prime_in_progression(k, min_value=p)
+        if f[-1] % p:
+            yield p
+
+
+def _primitive_powers(zeta, k, p):
+    # zeta^j mod p for 0 < j < k coprime to k: every primitive k-th root
+    # once zeta is one
+    return [pow(zeta, j, p) for j in range(1, k) if math.gcd(j, k) == 1]
+
+
+def _twisted_norm(f, k):
+    """T_k(x) = prod f(zeta x) over the primitive k-th roots of unity
+    zeta, in Z[x], for k >= 3.
+
+    Its image mod a prime p = 1 (mod k) is the product of the twists
+    f(z^j x) over j coprime to k, z of order k mod p, multiplied by a
+    product tree.  CRT combines images until the primes' product passes
+    twice the coefficient bound C(n, n/2) ||f||_2^phi(k), n the degree
+    of T_k: M(T_k) = M(f)^phi(k) <= ||f||_2^phi(k) (Landau), and each
+    coefficient is at most C(n, i) M(T_k).
+    """
+    phi = euler_phi(k)
+    n = P.degree(f) * phi
+    bound = 2 * math.comb(n, n // 2) * (math.isqrt(sum(a * a for a in f)) + 1) ** phi
+    images, primes, modulus = [], [], 1
+    for p in _norm_primes(f, k):
+        fbar = [a % p for a in f]
+        level = [_twist(fbar, z, p) for z in _primitive_powers(primitive_kth_root(p, k), k, p)]
+        while len(level) > 1:  # an odd one out moves up unpaired
+            pairs = zip(level[::2], level[1::2])
+            level = [mul_lists_mod(a, b, p) for a, b in pairs] + level[len(level) & ~1 :]
+        images.append(level[0])
+        primes.append(p)
+        modulus *= p
+        if modulus > bound:
+            return crt_symmetric(images, primes)
 
 
 # Candidate groups share one prime whenever their lcm stays below this, so
@@ -372,18 +417,22 @@ def _batch_survivors(core, batch, seed_key):
     for q, e in factorize((p - 1) // m):
         pf[q] = pf.get(q, 0) + e
     g = primitive_root(p, tuple(sorted(pf.items())))
+    zetas = [pow(g, (p - 1) // k, p) for k in group]
+    return list(group) if _twists_share_factor(fbar, zetas, p) else []
+
+
+def _twists_share_factor(fbar, zetas, p):
+    """Whether fbar shares a factor with the product of its twists
+    fbar(zeta x) over zetas, in F_p[x]: the product is taken mod fbar,
+    and one vanishing on the way settles it."""
     inv_rev = inv_series_mod(fbar[::-1], len(fbar), p)
     acc = None
-    for k in group:
-        zeta = pow(g, (p - 1) // k, p)
+    for zeta in zetas:
         tw = _twist(fbar, zeta, p)
-        if acc is None:
-            acc = rem_lists_fast(tw, fbar, inv_rev, p)
-        else:
-            acc = rem_lists_fast(mul_lists_mod(acc, tw, p), fbar, inv_rev, p)
+        acc = rem_lists_fast(tw if acc is None else mul_lists_mod(acc, tw, p), fbar, inv_rev, p)
         if not acc:
-            return list(group)  # product vanished mod f: gcd is certainly big
-    return [] if len(gcd_lists_mod(fbar, acc, p)) == 1 else list(group)
+            return True
+    return len(gcd_lists_mod(fbar, acc, p)) > 1
 
 
 def _twist(fbar, zeta, p):

@@ -1,5 +1,6 @@
 """Elementary integer number theory: totient, Moebius, primality, inverse
-totient, primitive roots, prime search in arithmetic progressions, saturation.
+totient, primitive roots, prime search in arithmetic progressions, word
+primes and Chinese remaindering, saturation.
 
 Everything here is exact and deterministic. Randomized helpers take an explicit
 ``random.Random`` handle so callers control reproducibility.
@@ -8,6 +9,7 @@ Everything here is exact and deterministic. Randomized helpers take an explicit
 from __future__ import annotations
 
 import math
+import operator
 import random
 from functools import lru_cache
 
@@ -275,6 +277,42 @@ def find_prime_in_progression(
             return p
         s += 1
     raise RuntimeError(f"no prime 1 (mod {k}) found within {max_steps} steps")
+
+
+@lru_cache(maxsize=None)
+def word_prime(i: int) -> int:
+    """The primes below 2^30 in descending order: word_prime(0) is the
+    largest.  Residues mod these primes are single-digit CPython ints.
+    Each is searched for on its first use, none at import."""
+    if i < 0:
+        raise ValueError("word_prime index must be >= 0")
+    p = (1 << 30) + 1 if i == 0 else word_prime(i - 1)
+    p -= 2
+    while not is_prime(p):
+        p -= 2
+    return p
+
+
+def crt_symmetric(residues, primes) -> list[int]:
+    """Chinese remaindering of vectors into symmetric residues.
+
+    residues[i] holds a vector's entries mod primes[i]; entry j of the
+    result is the unique integer c with |c| < M/2, M the product of the
+    (distinct) primes, that has residue residues[i][j] mod every
+    primes[i].  Each column is one weighted sum, so the loop over the
+    primes runs inside the interpreter's own map and sum.
+    """
+    M = math.prod(primes)
+    weights = []
+    for p in primes:
+        m = M // p
+        weights.append(m * pow(m, -1, p))  # 1 mod p, 0 mod the others
+    half = M // 2
+    out = []
+    for col in zip(*residues):
+        c = sum(map(operator.mul, col, weights)) % M
+        out.append(c - M if c > half else c)
+    return out
 
 
 def primitive_root(

@@ -3,8 +3,9 @@
 A polynomial is a plain list of arbitrary-precision ints, index j holding the
 coefficient of x^j.  Canonical form has no trailing zeros; the zero polynomial
 is the empty list.  Python's integers already give the transparent
-fixed-width-to-bignum promotion that dense coefficient work wants, so there is
-no separate machine-word lane here.
+fixed-width-to-bignum promotion that dense coefficient work wants.  The one
+machine-word lane is gcd_poly: it works from images modulo word primes on the
+modpoly kernels and proves its answer by exact division.
 
 Sign conventions, fixed once and tested:
   * gcd_poly, radical_poly, primitive_part, graeffe return positive leading
@@ -15,12 +16,12 @@ Sign conventions, fixed once and tested:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import count
 
 from .modpoly import gcd_lists_mod
-from .numtheory import factorize
-
-import math
+from .numtheory import crt_symmetric, factorize, word_prime
 
 
 def canonical(f) -> list[int]:
@@ -215,25 +216,30 @@ def _prem(A, B) -> list[int]:
     return R
 
 
-_FASTPATH_PRIMES = (2**61 - 1, 2**31 - 1, 4294967291, 2147483629)
-
-
-def _certainly_coprime(f, g) -> bool:
-    # One-sided check: if both degrees survive reduction mod p and the gcd
-    # mod p is constant, the gcd over Z is constant too.  Never claims a
-    # common factor.
-    for p in _FASTPATH_PRIMES:
-        if f[-1] % p == 0 or g[-1] % p == 0:
-            continue
-        return len(gcd_lists_mod([c % p for c in f], [c % p for c in g], p)) <= 1
-    return False
+def _divides(h, f) -> bool:
+    try:
+        div_exact(f, h)
+    except ArithmeticError:
+        return False
+    return True
 
 
 def gcd_poly(f, g) -> list[int]:
-    """Primitive positive-leading gcd in Z[x].
+    """Primitive positive-leading gcd in Z[x], by a modular algorithm.
 
-    A modular coprimality fast path settles the common case instantly; the
-    exact answer otherwise comes from a primitive PRS.
+    Images of the gcd are taken in F_p[x] for the descending word primes
+    p of numtheory.word_prime, skipping any p that divides a leading
+    coefficient.  A constant image settles the common case at once: the
+    resultant is nonzero mod p.  Otherwise only images of the least
+    degree seen are kept.  At a prime whose image has the true degree,
+    gamma = gcd(lc A, lc B) times the monic image is the image of
+    gamma / lc(G) * G for the true gcd G of the primitive parts A, B,
+    so CRT recovers that once the primes' product passes twice
+    Mignotte's bound gamma 2^deg A ||A||_2.  The candidate is also
+    tried whenever a new prime leaves the reconstruction unchanged.
+    Exact division of A and B by its primitive part H is the proof: no
+    image has lower degree than the true gcd, so a common divisor of
+    that degree is the gcd.
     """
     f = canonical(f)
     g = canonical(g)
@@ -243,17 +249,34 @@ def gcd_poly(f, g) -> list[int]:
         return primitive_part(g)
     if not g:
         return primitive_part(f)
-    if len(f) > 1 and len(g) > 1 and _certainly_coprime(f, g):
+    if len(f) == 1 or len(g) == 1:
         return [1]
-    A, B = primitive_part(f), primitive_part(g)
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        R = _prem(A, B)
-        A, B = B, (primitive_part(R) if R else [])
-    if A[-1] < 0:
-        A = neg(A)
-    return A
+    A = None
+    images, primes, last = [], [], None
+    for p in map(word_prime, count()):
+        if f[-1] % p == 0 or g[-1] % p == 0:
+            continue
+        h = gcd_lists_mod([c % p for c in f], [c % p for c in g], p)
+        if len(h) == 1:
+            return [1]
+        if A is None:
+            A, B = primitive_part(f), primitive_part(g)
+            gamma = math.gcd(A[-1], B[-1])
+            bound = 2 * gamma * min(
+                2 ** degree(X) * (math.isqrt(sum(c * c for c in X)) + 1) for X in (A, B)
+            )
+        if images and len(h) != len(images[0]):
+            if len(h) > len(images[0]):
+                continue  # unlucky p: the cofactors share a factor mod p
+            images, primes, last = [], [], None
+        images.append([gamma * c % p for c in h])
+        primes.append(p)
+        image = crt_symmetric(images, primes)
+        if image == last or math.prod(primes) > bound:
+            H = primitive_part(image)
+            if _divides(H, A) and _divides(H, B):
+                return H
+        last = image
 
 
 def radical_poly(f) -> list[int]:
@@ -272,12 +295,7 @@ def is_squarefree(f) -> bool:
     f = canonical(f)
     if not f:
         raise ValueError("square-freeness of the zero polynomial")
-    if len(f) <= 2:
-        return True
-    d = derivative(f)
-    if _certainly_coprime(f, d):
-        return True
-    return len(gcd_poly(f, d)) == 1
+    return len(gcd_poly(f, derivative(f))) == 1
 
 
 def _res_standard(A, B) -> int:

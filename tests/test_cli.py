@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +266,21 @@ def test_library_failures_exit_two_without_traceback(monkeypatch, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("cyclo: error: ") and str(exc) in err
     assert "Traceback" not in err
+
+
+def test_closed_pipe_exits_zero_without_traceback():
+    # the reader is gone before anything is written, as when `| head`
+    # exits early: the write fails with EPIPE
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclolrs.cli", "--format", "json", "lrs", "x^4+2*x^2+4*x+2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def test_missing_file_exits_two(capsys):

@@ -11,6 +11,7 @@ from cyclolrs.lrs import (
     CandidateOrders,
     OrderReport,
     _galois_certificate,
+    _twisted_norm,
     cdm_algorithm1,
     cdm_algorithm2_first_order,
     lrs_degeneracy_orders,
@@ -19,7 +20,14 @@ from cyclolrs.lrs import (
     reduce_coefficients,
     verify_order,
 )
-from cyclolrs.numtheory import divisors, euler_phi, inverse_totient_max
+from cyclolrs.numtheory import (
+    divisors,
+    euler_phi,
+    find_prime_in_progression,
+    inverse_totient_max,
+    moebius,
+    totient_sieve,
+)
 
 
 def negate_arg(f):
@@ -114,6 +122,41 @@ def test_candidates_shrinkage_band():
         naive = inverse_totient_max(d * d - d) - 2
         ratio = len(lrs_order_candidates(d).orders) / naive
         assert 0.25 <= ratio <= 0.50, (d, ratio)
+
+
+def double_loop_candidates(d, conjecture_bound=False):
+    """The candidate sieve as a set of even products and a scan of every
+    t against its multiples, one at a time."""
+    sieve = set()
+    for a in range(1, d + 1):
+        for b in range(1, a):
+            if (a * b) % 2 == 0:
+                sieve.add(a * b)
+    for a in range(2, d // 2 + 1, 2):
+        sieve.add(a * a)
+    top = d * d - d
+    divides_entry = bytearray(top + 1)
+    for t in range(1, top + 1):
+        for v in range(t, top + 1, t):
+            if v in sieve:
+                divides_entry[t] = 1
+                break
+    cap = d if conjecture_bound else top
+    kmax = inverse_totient_max(top)
+    phi = totient_sieve(kmax)
+    orders = tuple(
+        k
+        for k in range(3, kmax + 1)
+        if phi[k] <= cap and phi[k] <= top and divides_entry[phi[k]]
+    )
+    return frozenset(sieve), orders
+
+
+@pytest.mark.parametrize("d", list(range(2, 81)) + [100, 150])
+def test_candidates_match_double_loop(d):
+    for bound in (False, True):
+        c = lrs_order_candidates(d, conjecture_bound=bound)
+        assert (c.divisor_sieve, c.orders) == double_loop_candidates(d, bound)
 
 
 # ------------------------------------------------------------ preprocessing
@@ -221,6 +264,42 @@ def test_verify_order_on_cyclotomic_own_index(k):
     else:
         assert verify_order(phi_poly(k), k) is False
         assert verify_order(phi_poly(k), k // 2) is True
+
+
+def moebius_graeffe_norm(f, k):
+    """prod f(zeta x) over the primitive k-th roots zeta, as the Moebius
+    quotient of the inflated Graeffe transforms G_d(f)(x^d), d | k."""
+    num, den = [1], [1]
+    for d in divisors(k):
+        mu = moebius(k // d)
+        if mu:
+            rd = P.inflate(P.graeffe(f, d), d)
+            num, den = (P.mul(num, rd), den) if mu == 1 else (num, P.mul(den, rd))
+    return P.div_exact(num, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_twisted_norm_matches_moebius_graeffe_quotient(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    d = data.draw(st.integers(1, 8))
+    bound = data.draw(st.sampled_from([2, 30, 1024]))
+    f = [rng.randint(-bound, bound) for _ in range(d)]
+    f.append(rng.choice((-1, 1)) * rng.randint(1, bound))
+    k = data.draw(st.integers(3, 40))
+    assert _twisted_norm(f, k) == moebius_graeffe_norm(f, k)
+
+
+@pytest.mark.parametrize("k", [5, 9, 12, 101])
+def test_verify_order_skips_primes_dividing_the_leading_coefficient(k):
+    # lc(f) is divisible by the first prime p = 1 (mod k) the verifier
+    # would use, so that p must be skipped for refutation and for CRT
+    p = find_prime_in_progression(k, min_value=1 << 25)
+    assert verify_order([1, 1, p], k) is False
+    assert verify_order([1, 0, 3, p], k) is False
+    if k < 100:
+        scaled = [a * p**j for j, a in enumerate(phi_poly(k))]  # Phi_k(p x)
+        assert verify_order(scaled, k if k % 2 else k // 2) is True
 
 
 # ------------------------------------------------------------- full scans

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclolrs.numtheory import (
+    crt_symmetric,
     divisors,
     euler_phi,
     factorize,
@@ -18,6 +19,7 @@ from cyclolrs.numtheory import (
     radical_int,
     saturate,
     totient_sieve,
+    word_prime,
 )
 
 
@@ -192,6 +194,29 @@ def test_primitive_kth_root_orders_to_100():
         for j in range(1, k):
             assert x != 1, (k, j)
             x = x * z % p
+
+
+def test_word_primes_descend_through_every_prime_below_2_30():
+    assert word_prime(0) == 2**30 - 35
+    ps = [word_prime(i) for i in range(12)]
+    assert all(is_prime(p) for p in ps)
+    for hi, lo in zip(ps, ps[1:]):
+        assert not any(is_prime(n) for n in range(lo + 1, hi))
+    with pytest.raises(ValueError):
+        word_prime(-1)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_crt_symmetric_recovers_integers_of_small_absolute_value(data):
+    primes = data.draw(
+        st.lists(st.sampled_from([3, 5, 7, 11, 2**31 - 1, word_prime(0), word_prime(3)]),
+                 min_size=1, max_size=5, unique=True)
+    )
+    M = math.prod(primes)
+    values = data.draw(st.lists(st.integers(-(M // 2), M // 2), min_size=1, max_size=6))
+    residues = [[v % p for v in values] for p in primes]
+    assert crt_symmetric(residues, primes) == values
 
 
 def test_saturate_pinned():

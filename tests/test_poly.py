@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclolrs import poly as P
+from cyclolrs.numtheory import word_prime
 
 
 # --- independent oracles -------------------------------------------------
@@ -69,6 +70,23 @@ def resultant_y_scaled(f, m):
         ys.append(P._res_standard(A, ft) if ft else 0)
         t = -t if t > 0 else -t + 1
     return P._interpolate_int(xs, ys)
+
+
+def prs_gcd(f, g):
+    """Primitive positive-leading gcd by the primitive PRS: repeated
+    pseudo-remainders, each reduced to its primitive part."""
+    f, g = P.canonical(f), P.canonical(g)
+    if not f:
+        return P.primitive_part(g)
+    if not g:
+        return P.primitive_part(f)
+    A, B = P.primitive_part(f), P.primitive_part(g)
+    if len(A) < len(B):
+        A, B = B, A
+    while B:
+        R = P._prem(A, B)
+        A, B = B, (P.primitive_part(R) if R else [])
+    return P.neg(A) if A[-1] < 0 else A
 
 
 def rand_poly(rng, deg, bound=20, monic=False):
@@ -304,34 +322,86 @@ def test_is_squarefree():
     assert P.is_squarefree([7])
 
 
-# fast-path primes of the coprimality check, which skips a prime dividing
+# the first primes of gcd_poly's sequence, which skips a prime dividing
 # either leading coefficient
-M61, M31 = 2**61 - 1, 2**31 - 1
+W0, W1, W2, W3 = (word_prime(i) for i in range(4))
 
 
-@pytest.mark.parametrize("lc", [1, M61, 5 * M61, M61 * M31])
+@pytest.mark.parametrize("lc", [1, W0, 5 * W0, W0 * W1])
 def test_coprime_fast_path_with_blocked_primes(lc):
-    # with lc 1 the check runs at 2^61 - 1, where the remainders carry
-    # 61-bit residues; M61 moves it to 2^31 - 1, M61 * M31 to the third
-    # fast-path prime
+    # with lc 1 the first image settles coprimality; W0 moves it to the
+    # second prime, W0 * W1 to the third
     f = [3, 1, lc]
     g = [7, 2, 1, lc]
-    assert P._certainly_coprime(f, g)
     assert P.gcd_poly(f, g) == [1]
-    h = [M31 + 4, 1]
+    h = [W2 + 4, 1]
     fh, gh = P.mul(h, f), P.mul(h, g)
-    assert not P._certainly_coprime(fh, gh)
     assert P.gcd_poly(fh, gh) == h
     assert P.is_squarefree(fh)
     assert not P.is_squarefree(P.mul(fh, h))
 
 
-def test_coprime_fast_path_gives_way_when_every_prime_is_blocked():
-    lc = M61 * M31 * 4294967291 * 2147483629
+def test_gcd_skips_every_blocked_word_prime():
+    lc = W0 * W1 * W2 * W3
     f, g = [3, 1, lc], [7, 2, 1, lc]
-    assert not P._certainly_coprime(f, g)
     assert P.gcd_poly(f, g) == [1]
     assert P.is_squarefree(f)
+    h = [-W3, 0, 1]
+    assert P.gcd_poly(P.mul(f, h), P.mul(g, h)) == h
+    assert not P.is_squarefree(P.mul(P.mul(f, h), h))
+
+
+@pytest.mark.parametrize("unlucky", [0, 1])
+def test_gcd_survives_an_unlucky_prime(unlucky):
+    # the cofactors x + 1 and x + 1 + W share a root mod W only, so the
+    # image at W has one degree too many: first (images restart at the
+    # next prime) or second (that image is skipped)
+    w = word_prime(unlucky)
+    h = [2**40 + 7, -3, 5]
+    f, g = P.mul(h, [1, 1]), P.mul(h, [1 + w, 1])
+    assert P.gcd_poly(f, g) == h
+    assert P.gcd_poly([1, 1], [1 + w, 1]) == [1]
+
+
+def wide_poly(rng, deg, bound):
+    # rand_poly for large bounds: the leading coefficient is drawn directly
+    f = [rng.randint(-bound, bound) for _ in range(deg)]
+    return f + [rng.choice((-1, 1)) * rng.randint(1, bound)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_gcd_matches_prs_oracle(data):
+    # shared factors (or a shared constant, giving content), constant and
+    # non-monic inputs, and leading coefficients divisible by the first
+    # 0 to 3 word primes
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    bound = data.draw(st.sampled_from([3, 50, 10**12]))
+    block = math.prod(word_prime(i) for i in range(data.draw(st.integers(0, 3))))
+    common = wide_poly(rng, rng.randint(0, 4), bound)
+    common = common if data.draw(st.booleans()) else [rng.choice([-6, -1, 1, 4])]
+    a = wide_poly(rng, rng.randint(0, 5), bound)
+    b = wide_poly(rng, rng.randint(0, 5), bound)
+    a[-1] *= block
+    b[-1] *= block
+    f, g = P.mul(common, a), P.mul(common, b)
+    assert P.gcd_poly(f, g) == prs_gcd(f, g)
+    assert P.is_squarefree(f) == (len(prs_gcd(f, P.derivative(f))) == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_gcd_of_repeated_factors_matches_prs_oracle(data):
+    # several primes and a trial division are needed when the gcd has
+    # large coefficients, as for a square part with a 40-bit root
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    h = wide_poly(rng, rng.randint(1, 3), 2**40)
+    f = P.mul(P.mul(h, h), wide_poly(rng, rng.randint(0, 4), 2**20))
+    assert P.gcd_poly(f, P.derivative(f)) == prs_gcd(f, P.derivative(f))
+    assert not P.is_squarefree(f)
+    assert P.radical_poly(f) == P.div_exact(
+        P.primitive_part(f), prs_gcd(f, P.derivative(f))
+    )
 
 
 def test_height_pinned():
