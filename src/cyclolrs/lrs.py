@@ -12,14 +12,14 @@ nontrivial gcd with f proves the order; one such prime usually refutes
 it first.  Two classical resultant-based detectors are included as slow
 reference oracles.
 
-A Galois certificate usually ends the scan after its first batch, which
-holds every candidate up to 18.  An order k puts Q(zeta_k), of degree
-phi(k), inside the splitting field, and a Galois group containing A_d
-(d >= 5) has abelian quotients of order at most 2, so only k in
-{2, 3, 4, 6} can remain.  Factorization patterns mod primes are
-Frobenius cycle types (Dedekind); patterns with no common proper subset
-sum prove irreducibility, and a prime cycle length q with
-d/2 < q <= d - 3 then forces A_d into the group (Jordan).
+The scan tests every candidate up to 18 first, and a Galois certificate
+then usually ends it before the rest of the sieve is even built.  An
+order k puts Q(zeta_k), of degree phi(k), inside the splitting field,
+and a Galois group containing A_d (d >= 5) has abelian quotients of
+order at most 2, so only k in {2, 3, 4, 6} can remain.  Factorization
+patterns mod primes are Frobenius cycle types (Dedekind); patterns with
+no common proper subset sum prove irreducibility, and a prime cycle
+length q with d/2 < q <= d - 3 then forces A_d into the group (Jordan).
 """
 
 import math
@@ -398,6 +398,27 @@ def _batch_partition(ks):
         pending = rest
 
 
+def _candidate_batches(d, conjecture_bound, implied):
+    """The scan's candidate groups, ascending by their minima.
+
+    The first group is every candidate k <= 18 and stands alone; the
+    rest of the sieve follows in _batch_partition groups.  The sieve is
+    built only when a second group is asked for, since from degree 8 on
+    the first group is every such k with phi(k) under the cap: phi(k)
+    <= 16 there, and each even number up to 16 is a sieve entry.  The
+    implied orders of a composition x^r join the groups they fall in.
+    """
+    implied = [k for k in implied if k >= 3]
+    if d < 8:  # a small sieve may leave out small k, and costs nothing
+        head = [k for k in lrs_order_candidates(d, conjecture_bound).orders if k <= 18]
+    else:
+        cap = d if conjecture_bound else d * d - d
+        head = [k for k in range(3, 19) if euler_phi(k) <= cap]
+    yield from _batch_partition(sorted(set(head).union(k for k in implied if k <= 18)))
+    rest = set(lrs_order_candidates(d, conjecture_bound).orders).union(implied)
+    yield from _batch_partition(sorted(k for k in rest if k > 18))
+
+
 def _batch_survivors(core, batch, seed_key):
     """One shared-prime rejection round over a whole candidate group.
 
@@ -535,16 +556,17 @@ def _galois_certificate(core, seed_key, budget):
     return None
 
 
-def _certificate_budget(d, later):
-    """Primes the certificate may draw: a deterministic function of the
-    degree and of the count of later-batch candidates it would spare.
-    Measured from degree 12 to 100, scanning those costs as much as
-    later / d certificate primes or more, so above degree 50 a failed
-    attempt adds at most about half the scan it tried to save.  For a
-    generic input a cycle type holds a Jordan prime with chance 0.15 or
-    more, so the floor of 32 misses one only about once in a thousand
-    inputs; below degree 50 that floor can cost more than the scan."""
-    return max(32, later // (2 * d))
+def _certificate_budget(d):
+    """Primes the certificate may draw, a deterministic function of the
+    degree.  When it fails, the scan goes on through the candidates
+    above 18, about 1.4 d^2 of them.  Measured from degree 12 to 100,
+    those cost as much as 1.4 d certificate primes or more, so above
+    degree 50 a failed attempt adds at most about half the scan it
+    tried to save.  For a generic input a cycle type holds a Jordan
+    prime with chance 0.15 or more, so the floor of 32 misses one only
+    about once in a thousand inputs; below degree 50 that floor can
+    cost more than the scan."""
+    return max(32, 7 * d // 10)
 
 
 def _report(found, log, mode, conjecture_bound):
@@ -571,10 +593,10 @@ def lrs_degeneracy_orders(
     each is screened by three rounds of modular twisted-gcd tests and,
     when verify is set, settled exactly.  first_order stops at the
     smallest confirmed order, decision_only at the first survivor after
-    the stronger decision preprocessing.  After the first batch, which
-    holds every candidate up to 18, a Galois certificate may end the
-    scan: see _galois_certificate.  Results are deterministic for a
-    fixed seed: every candidate draws its primes from an isolated
+    the stronger decision preprocessing.  Every candidate up to 18 is
+    tested first; a Galois certificate may then end the scan before the
+    sieve is built: see _galois_certificate.  Results are deterministic
+    for a fixed seed: every candidate draws its primes from an isolated
     substream, so the outcome is independent of scan order.
     """
     if mode not in _MODES:
@@ -604,13 +626,11 @@ def lrs_degeneracy_orders(
             if mode == "first_order":
                 return _report(found, log, mode, conjecture_bound)
 
-    ks = set(lrs_order_candidates(d, conjecture_bound=conjecture_bound).orders)
-    ks.update(k for k in log.implied_orders if k >= 3)
     # first_order / decision_only stop at the smallest confirmed order,
     # best.  Group minima increase, so once a group starts above best no
     # later group can beat it.
     best = None
-    for i, batch in enumerate(_batch_partition(sorted(ks))):
+    for i, batch in enumerate(_candidate_batches(d, conjecture_bound, log.implied_orders)):
         group = batch[2]
         if best is not None and group[0] > best:
             break
@@ -629,20 +649,26 @@ def lrs_degeneracy_orders(
                 best = k
                 break
             found.append((k, status))
-        # the first batch holds 3, 4 and 6, the only orders >= 3 that a
-        # certified input can carry (see the module docstring); the roots
-        # of a palindromic core pair up as a, 1/a, a block system that
-        # rules out the certificate
+        if i > 0:
+            continue
+        if best is not None:
+            break  # every later group starts above 18
+        # the first group holds 3, 4 and 6, the only orders >= 3 that a
+        # certified input can carry (see the module docstring).  A core
+        # the certificate cannot serve is skipped: the roots of a
+        # palindromic one pair up as a, 1/a, a block system; one with a
+        # root at 1 or -1 (every anti-palindromic core) is reducible; and
+        # an irreducible core sharing a root with core(-x) is +-core(-x),
+        # even (so composed in x^2) or divisible by x
         if (
-            i == 0
-            and best is None
-            and len(group) < len(ks)
-            and not log.implied_orders
+            not log.implied_orders
             and set(kept) <= {3, 4, 6}
+            and (2, "verified") not in found
+            and P.eval_int(core, 1)
+            and P.eval_int(core, -1)
             and not P.is_palindromic(core)
         ):
-            budget = _certificate_budget(d, len(ks) - len(group))
-            used = _galois_certificate(core, f"{master}:galois", budget)
+            used = _galois_certificate(core, f"{master}:galois", _certificate_budget(d))
             if used is not None:
                 log.steps.append(
                     f"Galois group contains A_{d} (cycle types at {used} primes): "

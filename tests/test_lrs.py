@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclolrs import lrs
 from cyclolrs import poly as P
 from cyclolrs.cyclotomic import cyclotomic_product, phi_poly
 from cyclolrs.lrs import (
     CandidateOrders,
     OrderReport,
+    _candidate_batches,
     _galois_certificate,
     _twisted_norm,
     cdm_algorithm1,
@@ -596,3 +598,49 @@ def test_certificate_log_line_is_deterministic():
     f = random_poly(random.Random(4), 30, h=1024)
     a, b = scan(f, rng=17), scan(f, rng=17)
     assert a == b and certified(a) and a.orders == ()
+
+
+def test_certified_scan_builds_no_sieve(monkeypatch):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the sieve was built")
+
+    monkeypatch.setattr(lrs, "lrs_order_candidates", no_sieve)
+    f = random_poly(random.Random(4), 30, h=1024)
+    assert certified(scan(f, rng=17))
+
+
+def test_first_batch_is_the_sieve_up_to_18():
+    for d in range(8, 201):
+        for bound in (False, True):
+            head = next(_candidate_batches(d, bound, ()))[2]
+            assert head == [k for k in lrs_order_candidates(d, bound).orders if k <= 18]
+
+
+def orders_above_18_corpus():
+    rng = random.Random(1918)
+    return [
+        (P.mul(scaled_phi(19, 2), random_poly(rng, 20, h=1024)), 19),
+        (P.mul(scaled_phi(23, 3), random_poly(rng, 20, h=1024)), 23),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["all_orders", "first_order", "decision_only"])
+def test_orders_above_18_are_found_and_never_certified(mode):
+    for f, k in orders_above_18_corpus():
+        rep = scan(f, mode=mode)
+        assert rep.verified_orders() == [k] and not certified(rep), (k, mode)
+
+
+def test_certificate_skipped_on_order_two_and_anti_palindromic_cores(monkeypatch):
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("the certificate ran")
+
+    monkeypatch.setattr(lrs, "_galois_certificate", no_certificate)
+    rng = random.Random(1919)
+    g, h = random_poly(rng, 5, h=1024), random_poly(rng, 4, h=1024)
+    half = [rng.randint(-1024, 1024) for _ in range(5)] + [rng.randint(1, 1024)]
+    order_two = P.mul(P.mul(g, negate_arg(g)), h)
+    for f in (order_two, half + [-a for a in half[::-1]], half + [0] + [-a for a in half[::-1]]):
+        assert P.degree(f) >= 8
+        for mode in ("all_orders", "first_order", "decision_only"):
+            assert not certified(scan(f, mode=mode)), (f, mode)
