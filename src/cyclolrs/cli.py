@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from . import poly as P
-from .cyclotomic import cyclotomic_product, load_bfile, phi_poly
+from .cyclotomic import cyclotomic_product, phi_poly
 from .factors import find_cyclo_factor_indexes
 from .lrs import lrs_degeneracy_orders
 from .recognize import cyclo_index
@@ -36,7 +36,6 @@ class RunConfig:
     verify: bool = False
     mode: str = "all"
     output_format: str = "text"
-    bfile_path: str = None
     conjecture_bound: bool = False
     timings: bool = False
 
@@ -209,9 +208,9 @@ def _emit(cfg, command, degree, result, elapsed, preprocessing, text_lines):
             print(f"time: {elapsed * 1000:.1f} ms")
 
 
-def cmd_cyclo_index(f, cfg, method="prefix", verify=True, table=None):
+def cmd_cyclo_index(f, cfg, method="prefix", verify=True):
     t0 = time.perf_counter()
-    v = cyclo_index(f, method=method, verify=verify, table=table)
+    v = cyclo_index(f, method=method, verify=verify)
     elapsed = time.perf_counter() - t0
     result = {
         "cyclotomic": v.outcome == "cyclotomic",
@@ -380,7 +379,6 @@ def build_parser():
         "degeneracy orders for integer polynomials",
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--bfile", metavar="PATH", help="height table b-file")
     ap.add_argument("--timings", action="store_true", help="include wall time")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -415,12 +413,10 @@ def main(argv=None):
         verify=getattr(args, "verify", False),
         mode=getattr(args, "mode", "all"),
         output_format=args.format,
-        bfile_path=args.bfile,
         conjecture_bound=getattr(args, "conjecture_bound", False),
         timings=args.timings,
     )
     try:
-        table = load_bfile(cfg.bfile_path) if cfg.bfile_path else None
         if args.command == "bench":
             result, elapsed, prep, text = cmd_bench(args.scenario, cfg)
             degree = None
@@ -428,7 +424,7 @@ def main(argv=None):
             f = poly_from_arg(args.poly)
             if args.command == "index":
                 result, elapsed, prep, text = cmd_cyclo_index(
-                    f, cfg, method=args.method, verify=not args.no_verify, table=table
+                    f, cfg, method=args.method, verify=not args.no_verify
                 )
             elif args.command == "factors":
                 result, elapsed, prep, text = cmd_cyclo_factors(

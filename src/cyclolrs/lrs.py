@@ -612,6 +612,14 @@ def lrs_degeneracy_orders(
     if log.settled_order is not None:
         return _report([(log.settled_order, "verified")], log, mode, conjecture_bound)
     d = P.degree(core)
+    if d >= 2 and not any(core[1:-1]):
+        # x^d + c: the root ratios are exactly the d-th roots of unity,
+        # so the divisors k > 1 of d are the whole answer.  c = 1 unless
+        # decision preprocessing stripped rational roots afterwards.
+        orders = [k for k in divisors(d) if k > 1]
+        if mode != "all_orders":
+            orders = orders[:1]
+        return _report([(k, "verified") for k in orders], log, mode, conjecture_bound)
     found = []
     if mode == "all_orders":
         for k in log.implied_orders:

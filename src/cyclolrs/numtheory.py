@@ -252,31 +252,35 @@ def saturate(n: int, g: int) -> int:
     return n
 
 
+# Dirichlet guarantees a prime in every progression; the cap only turns
+# a bug into an error instead of an endless scan
+_PRIME_SEARCH_STEPS = 1_000_000
+
+
 def find_prime_in_progression(
     k: int,
     min_cofactor: int = 1,
     min_value: int = 0,
     rng: random.Random | None = None,
-    max_steps: int = 1_000_000,
 ) -> int:
     """A prime p = 1 + k*s with s >= min_cofactor and p > min_value.
 
     Without an rng the smallest admissible prime is returned.  With one, the
     starting s is pushed up by a seeded offset and the scan proceeds upward,
     so distinct seeds land on distinct primes while a fixed seed reproduces
-    the same choice.  Dirichlet guarantees success; the step cap is defensive.
+    the same choice.
     """
     if k < 2:
         raise ValueError("progression modulus must be >= 2")
     s = max(min_cofactor, (min_value - 1) // k + 1)
     if rng is not None:
         s += rng.randrange(s + 64)
-    for _ in range(max_steps):
+    for _ in range(_PRIME_SEARCH_STEPS):
         p = 1 + k * s
         if is_prime(p):
             return p
         s += 1
-    raise RuntimeError(f"no prime 1 (mod {k}) found within {max_steps} steps")
+    raise RuntimeError(f"no prime 1 (mod {k}) found within {_PRIME_SEARCH_STEPS} steps")
 
 
 @lru_cache(maxsize=None)

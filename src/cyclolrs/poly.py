@@ -99,10 +99,6 @@ def primitive_part(f) -> list[int]:
     return [a // c for a in f]
 
 
-def height(f) -> int:
-    return max((abs(a) for a in f), default=0)
-
-
 def reverse(f) -> list[int]:
     f = canonical(f)
     if not f:
@@ -428,18 +424,11 @@ def graeffe(f, k: int) -> list[int]:
     return out
 
 
-def scale_arg(f, lam: Fraction, strict: bool = True) -> list[int]:
-    """f(lam * x) with integer coefficients.
-
-    In strict mode a lam that produces non-integer coefficients is an error.
-    Otherwise the result is cleared by the minimal power of the denominator.
-    """
+def scale_arg(f, lam: Fraction) -> list[int]:
+    """f(lam * x); a lam that produces non-integer coefficients is an error."""
     f = canonical(f)
     u, v = lam.numerator, lam.denominator
     fracs = [Fraction(a * u**j, v**j) for j, a in enumerate(f)]
-    e = 0
-    while any((c * v**e).denominator != 1 for c in fracs):
-        e += 1
-        if strict:
-            raise ValueError("scaling does not preserve integrality")
-    return canonical([int(c * v**e) for c in fracs])
+    if any(c.denominator != 1 for c in fracs):
+        raise ValueError("scaling does not preserve integrality")
+    return canonical([int(c) for c in fracs])

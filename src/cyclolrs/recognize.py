@@ -1,7 +1,8 @@
 """Cyclotomicity testing and index recovery.
 
 Two complete pipelines sit behind cyclo_index: a truncated-prefix
-search over inverse-totient candidates, and an evaluate-at-2 method
+search over inverse-totient candidates, which keeps a candidate exactly
+while its coefficients match the input's, and an evaluate-at-2 method
 that reads the index off the multiplicative order of 2 modulo f(2).
 Both share the same quick-check cascade, which either decides on the
 spot or strips the input to a square-free-index core plus an inflation
@@ -16,12 +17,7 @@ core/inflation compatibility).
 from dataclasses import dataclass, replace
 
 from . import poly as P
-from .cyclotomic import (
-    HeightBoundExceeded,
-    outer_coeff_bound,
-    phi_poly,
-    phi_suffix,
-)
+from .cyclotomic import phi_poly, phi_suffix
 from .numtheory import (
     euler_phi,
     inverse_totient,
@@ -121,7 +117,7 @@ def _core_matches_prefix(g, j, m):
     return want == have
 
 
-def cyclo_index_prefix(f, verify=True, table=None):
+def cyclo_index_prefix(f, verify=True):
     """Index search by truncated-coefficient comparison.
 
     Candidates are the square-free inverse-totient values of the core
@@ -140,27 +136,13 @@ def cyclo_index_prefix(f, verify=True, table=None):
     cands = [n for n in inverse_totient(dg, squarefree_only=True) if moebius(n) == target]
     m = 32
     while len(cands) > 1:
-        gm = g[:m] + [0] * (m - len(g[:m]))
-        keep = []
-        for n in cands:
-            bound = outer_coeff_bound(m, n, table=table)
-            if bound is not None and P.height(gm) > bound:
-                continue
-            try:
-                suf = phi_suffix(n, m, height_bound=bound)
-            except HeightBoundExceeded:
-                continue
-            if gm == suf + [0] * (m - len(suf)):
-                keep.append(n)
-        cands = keep
+        cands = [n for n in cands if _core_matches_prefix(g, n, m)]
         m *= 4
     if not cands:
         return CycloVerdict("not_cyclotomic", method="prefix")
     j = cands[0]
-    if not verify:
-        return _assemble(j, r, True, "prefix", verified=False)
-    ok = P.is_palindromic(g) and _core_matches_prefix(g, j, dg // 2 + 1)
-    return _assemble(j, r, ok, "prefix", verified=True)
+    ok = not verify or (P.is_palindromic(g) and _core_matches_prefix(g, j, dg // 2 + 1))
+    return _assemble(j, r, ok, "prefix", verified=verify)
 
 
 def cyclo_index_eval(f, verify=True):
@@ -180,9 +162,7 @@ def cyclo_index_eval(f, verify=True):
     if dg >= _EVAL_DEGREE_LIMIT:
         raise ValueError("degree too large for the evaluation method")
     if g == [1, -1, 1]:
-        if not verify:
-            return _assemble(6, r, True, "eval", verified=False)
-        return _assemble(6, r, True, "eval", verified=True)
+        return _assemble(6, r, True, "eval", verified=verify)
     v = P.eval_int(g, 2)
     if not (1 << (dg - 1)) < v < (1 << (dg + 1)):
         return CycloVerdict("not_cyclotomic", method="eval")
@@ -199,16 +179,14 @@ def cyclo_index_eval(f, verify=True):
                 break
     if j is None:
         return CycloVerdict("not_cyclotomic", method="eval")
-    if not verify:
-        return _assemble(j, r, True, "eval", verified=False)
-    ok = g == phi_poly(j)
-    return _assemble(j, r, ok, "eval", verified=True)
+    ok = not verify or g == phi_poly(j)
+    return _assemble(j, r, ok, "eval", verified=verify)
 
 
-def cyclo_index(f, method="prefix", verify=True, table=None):
+def cyclo_index(f, method="prefix", verify=True):
     """Front door: route to the chosen pipeline."""
     if method == "prefix":
-        return cyclo_index_prefix(f, verify=verify, table=table)
+        return cyclo_index_prefix(f, verify=verify)
     if method == "eval":
         return cyclo_index_eval(f, verify=verify)
     raise ValueError(f"unknown method {method!r}")

@@ -1,11 +1,13 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclolrs import cli
@@ -288,17 +290,70 @@ def test_missing_file_exits_two(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_bfile_flows_into_prefix_method(tmp_path, capsys):
-    b = tmp_path / "heights.txt"
-    b.write_text("# prefix height maxima\n1 1\n2 1\n3 2\n4 3\n")
-    code, doc, _ = run_json(
-        capsys, ["--bfile", str(b), "index", "x^6+x^3+1"]
-    )
-    assert code == 0 and doc["result"]["index"] == 9
+# ------------------------------------------------------------ fuzzed contract
+
+_FUZZ_COMMANDS = (
+    ["index"],
+    ["index", "--method", "eval"],
+    ["factors"],
+    ["factors", "--verify"],
+    *(["lrs", "--mode", m, *v] for m in ("all", "first", "decide") for v in ([], ["--verify"])),
+)
 
 
-def test_malformed_bfile_exits_two(tmp_path, capsys):
-    b = tmp_path / "bad.txt"
-    b.write_text("3 1\n2 1\n")
-    assert main(["--bfile", str(b), "index", "x^2+1"]) == 2
-    assert "increasing" in capsys.readouterr().err
+@st.composite
+def _expressions(draw, depth=2):
+    """Signed monomials combined by +, - and * under nested parentheses."""
+    if depth == 0 or draw(st.booleans()):
+        sign = draw(st.sampled_from(("", "-")))
+        c, e = draw(st.integers(0, 9)), draw(st.integers(0, 6))
+        forms = (f"{c}*x^{e}", f"x^{e}", f"{c}", "x")
+        return sign + draw(st.sampled_from(forms))
+    left, right = draw(_expressions(depth - 1)), draw(_expressions(depth - 1))
+    op = draw(st.sampled_from("+-*"))
+    text = f"({left}){op}{right}" if draw(st.booleans()) else f"{left}{op}({right})"
+    return f"({text})" if draw(st.booleans()) else text
+
+
+@st.composite
+def _coefficient_lists(draw):
+    """Ascending lists with low-order zeros (powers of x), high-order
+    zeros, all zeros or a single constant."""
+    body = draw(st.lists(st.integers(-50, 50), max_size=9))
+    low, high = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    sep = draw(st.sampled_from((",", " ")))
+    return sep.join(map(str, [0] * low + body + [0] * high)) or "0"
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_contract(command, poly):
+    # "--" keeps a leading minus sign from reading as an option
+    argv = ["--format", "json", *command, "--", poly]
+    code, out, err = _run_cli(argv)
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert json.loads(out)["command"] == command[0]
+    else:
+        assert out == "" and err.startswith("cyclo: error: ")
+    assert _run_cli(argv) == (code, out, err)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_FUZZ_COMMANDS), _expressions())
+def test_fuzzed_expressions_keep_the_exit_contract(command, text):
+    f = parse_poly(text)
+    assume(len(f) <= 11 and all(abs(a) <= 50 for a in f))
+    _check_contract(command, text)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_FUZZ_COMMANDS), _coefficient_lists())
+def test_fuzzed_coefficient_lists_keep_the_exit_contract(command, text):
+    _check_contract(command, text)

@@ -5,17 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclolrs import poly as P
-from cyclolrs.cyclotomic import (
-    DEGREE_HEIGHT_TABLE,
-    HeightBoundExceeded,
-    HeightTable,
-    cyclotomic_product,
-    height_bound_by_degree,
-    load_bfile,
-    outer_coeff_bound,
-    phi_poly,
-    phi_suffix,
-)
+from cyclolrs.cyclotomic import cyclotomic_product, phi_poly, phi_suffix
 from cyclolrs.numtheory import euler_phi, moebius
 
 
@@ -84,107 +74,6 @@ def test_phi_suffix_matches_truncation():
             assert phi_suffix(k, m) == want, (k, m)
 
 
-def test_phi_suffix_height_bound():
-    with pytest.raises(HeightBoundExceeded):
-        phi_suffix(105, 8, height_bound=1)
-    assert phi_suffix(105, 8, height_bound=2) == phi_poly(105)[:8]
-
-
-def test_height_bound_by_degree_pinned():
-    assert height_bound_by_degree(0) == 1
-    assert height_bound_by_degree(47) == 1
-    assert height_bound_by_degree(48) == 2
-    assert height_bound_by_degree(239) == 2
-    assert height_bound_by_degree(240) == 3
-    assert height_bound_by_degree(5759) == 9
-    assert height_bound_by_degree(5760) == 23
-    assert height_bound_by_degree(8639) == 23
-    assert height_bound_by_degree(8640) is None
-    assert height_bound_by_degree(10**6) is None
-
-
-def test_heights_respect_degree_table():
-    rng = random.Random(5)
-    ks = list(range(1, 301)) + [rng.randint(301, 5000) for _ in range(80)]
-    for k in ks:
-        f = phi_poly(k)
-        bound = height_bound_by_degree(P.degree(f))
-        if bound is not None:
-            assert P.height(f) <= bound, k
-
-
-def test_height_table_validation():
-    with pytest.raises(ValueError):
-        HeightTable(thresholds=((48, 1), (48, 2)))
-    with pytest.raises(ValueError):
-        HeightTable(thresholds=((48, 2), (240, 1)))
-    with pytest.raises(ValueError):
-        HeightTable(thresholds=((48, 0),))
-    t = HeightTable(thresholds=((10, 1), (20, 3)))
-    assert t.lookup(9) == 1
-    assert t.lookup(10) == 3
-    assert t.lookup(20) is None
-
-
-def test_load_bfile(tmp_path):
-    p = tmp_path / "b_test.txt"
-    p.write_text(
-        "# synthetic fixture\n"
-        "\n"
-        "1 1\n2 1\n3 1\n4 2\n5 2\n6 1\n7 3\n8 3\n",
-        encoding="ascii",
-    )
-    t = load_bfile(p)
-    assert t.source == "oeis_bfile"
-    # running maximum irons out the dip at n=6
-    assert t.lookup(3) == 1
-    assert t.lookup(4) == 2
-    assert t.lookup(6) == 2
-    assert t.lookup(7) == 3
-    assert t.lookup(8) == 3
-    assert t.lookup(9) is None
-
-
-def test_load_bfile_rejects_bad_input(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1 1\n1 2\n", encoding="ascii")
-    with pytest.raises(ValueError):
-        load_bfile(bad)
-    bad.write_text("1 1 extra\n", encoding="ascii")
-    with pytest.raises(ValueError):
-        load_bfile(bad)
-    bad.write_text("# only comments\n", encoding="ascii")
-    with pytest.raises(ValueError):
-        load_bfile(bad)
-
-
-def test_outer_coeff_bound_rules():
-    # two odd primes: flat regardless of prefix length
-    assert outer_coeff_bound(50, 15) == 1
-    assert outer_coeff_bound(10**6, 3 * 5 * 16) == 1
-    # three odd primes but only one below the prefix cutoff
-    assert outer_coeff_bound(29, 3 * 29 * 31) == 1
-    # otherwise the degree table speaks: phi(105) = 48
-    assert outer_coeff_bound(8, 105) == 2
-    assert outer_coeff_bound(8, 3 * 5 * 7 * 11) == 3
-    # degree past the table, many small odd primes, nothing applies
-    n = 3 * 5 * 7 * 11 * 13 * 17 * 19
-    assert outer_coeff_bound(100, n) is None
-
-
-def test_outer_coeff_bound_with_table(tmp_path):
-    p = tmp_path / "b.txt"
-    p.write_text("".join(f"{i} 1\n" for i in range(1, 8)) + "8 2\n", encoding="ascii")
-    t = load_bfile(p)
-    n = 3 * 5 * 7 * 11 * 13 * 17 * 19
-    assert outer_coeff_bound(7, n, table=t) == 1
-    assert outer_coeff_bound(8, n, table=t) == 2
-    # falls back to unknown once both tables run out
-    assert outer_coeff_bound(9, n, table=t) is None
-    # prefix bound must actually hold for the one polynomial we can check
-    assert all(abs(c) <= 2 for c in phi_poly(105)[:8])
-
-
 def test_cyclotomic_product_pinned():
     assert cyclotomic_product([]) == [1]
     assert cyclotomic_product([1, 2]) == [-1, 0, 1]
@@ -205,8 +94,5 @@ def test_cyclotomic_product_large_degree():
     f = cyclotomic_product([997, 991])
     assert P.degree(f) == 996 + 990
     assert f[-1] == 1
+    assert f == P.mul(phi_poly(997), phi_poly(991))
 
-
-def test_builtin_table_shape():
-    assert DEGREE_HEIGHT_TABLE.source == "builtin"
-    assert len(DEGREE_HEIGHT_TABLE.thresholds) == 9

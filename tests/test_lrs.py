@@ -404,6 +404,44 @@ def test_deflation_implied_orders_reported():
     assert set(rep.verified_orders()) >= {2, 4}
 
 
+@pytest.mark.parametrize("d", range(2, 13))
+def test_binomials_answer_from_their_deflation(d):
+    # a + b x^d reduces to the core x^d + 1, whose orders the oracle reads
+    # off the full ratio resultant; every mode answers without a scan
+    core, _ = preprocess([1] + [0] * (d - 1) + [1])
+    want = cdm_algorithm1(core)
+    rng = random.Random(d)
+    for _ in range(3):
+        a, b = (rng.choice((-1, 1)) * rng.randint(1, 50) for _ in range(2))
+        f = [a] + [0] * (d - 1) + [b]
+        assert preprocess(f)[0] == core
+        for verify in (True, False):
+            rep = scan(f, verify=verify)
+            assert rep.orders == tuple((k, "verified") for k in want)
+            rep = scan(f, verify=verify, mode="first_order")
+            assert rep.orders == ((want[0], "verified"),)
+            rep = scan(f, verify=verify, mode="decision_only")
+            assert rep.orders == ((want[0], "verified"),)
+
+
+@pytest.mark.parametrize(
+    "lin, d, c", [([-2, 1], 3, 3), ([1, 2], 5, -3), ([-3, 1], 7, 5), ([5, -1], 3, 2)]
+)
+def test_binomial_core_left_by_root_stripping(lin, d, c):
+    # decision preprocessing strips the rational root of the linear
+    # factor after the composition check, leaving x^d + c with no implied
+    # orders; the root ratios of x^d + c are still the d-th roots of unity
+    # (d is odd: an even d shares x^d + c with f(-x) and settles at 2)
+    f = P.mul(lin, [c] + [0] * (d - 1) + [1])
+    core, log = preprocess(f, decision_only=True, rng=random.Random(4))
+    assert core == [c] + [0] * (d - 1) + [1] and not log.implied_orders
+    want = cdm_algorithm1(core)[0]
+    for verify in (True, False):
+        rep = scan(f, verify=verify, mode="decision_only")
+        assert rep.orders == ((want, "verified"),)
+    assert scan([-6, 3, 0, -2, 1], mode="decision_only").orders == ((3, "verified"),)
+
+
 def test_random_polynomials_are_typically_nondegenerate():
     rng = random.Random(24601)
     for _ in range(10):

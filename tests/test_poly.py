@@ -404,18 +404,11 @@ def test_gcd_of_repeated_factors_matches_prs_oracle(data):
     )
 
 
-def test_height_pinned():
-    assert P.height([5, 4, 3, 2, 1]) == 5
-    assert P.height([]) == 0
-
-
 def test_scale_arg_pinned():
     f = [3125, 1000, 300, 80, 16]
     assert P.scale_arg(f, Fraction(1, 2)) == [3125, 500, 75, 10, 1]
     with pytest.raises(ValueError):
         P.scale_arg([1, 1], Fraction(1, 2))
-    # non-strict mode clears the denominator instead
-    assert P.scale_arg([1, 1], Fraction(1, 2), strict=False) == [2, 1]
 
 
 def test_div_exact_errors():

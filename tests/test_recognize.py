@@ -80,6 +80,17 @@ def test_center_coefficient_is_checked():
     assert cyclo_index_eval(fake).outcome == "not_cyclotomic"
 
 
+def test_palindromic_height_three_perturbation_rejected():
+    # Phi_105 with its first height-2 coefficient and that one's mirror
+    # set to 3: palindromic, and every quick check passes
+    f = phi_poly(105)
+    f[7] = f[48 - 7] = 3
+    assert P.is_palindromic(f) and quick_checks(f).verdict is None
+    for verify in (True, False):
+        assert cyclo_index_prefix(f, verify=verify).outcome == "not_cyclotomic"
+        assert cyclo_index_eval(f, verify=verify).outcome == "not_cyclotomic"
+
+
 def test_completeness_small_indexes():
     for k in range(1, 301):
         f = phi_poly(k)
