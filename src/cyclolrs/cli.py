@@ -334,11 +334,12 @@ def bench_factors(seed):
 def bench_lrs(seed):
     rng = random.Random(seed)
     cases = [("degenerate_quartic", [2, 4, 2, 0, 1]), ("phi3_phi5", cyclotomic_product([3, 5]))]
-    for d in (25, 50):
+    for d in (25, 50, 50):
         f = [rng.randint(-1024, 1024) for _ in range(d)] + [rng.randint(1, 1024)]
         if f[0] == 0:
             f[0] = 1
         cases.append((f"random_deg_{d}", f))
+    cases[-1] = ("composed_deg_100", P.inflate(cases[-1][1], 2))  # the third draw in x^2
     rows = []
     for name, f in cases:
         rep, ms = _timed(
@@ -407,6 +408,10 @@ def build_parser():
 
 
 def main(argv=None):
+    # argparse reads "-x^2-1" or "-3,4" as an option, but not with a
+    # leading space, which poly_from_arg strips again
+    argv = sys.argv[1:] if argv is None else argv
+    argv = [" " + a if re.match(r"-[\d\sx(]", a) else a for a in argv]
     args = build_parser().parse_args(argv)
     cfg = RunConfig(
         seed=getattr(args, "seed", 0),

@@ -12,6 +12,9 @@ nontrivial gcd with f proves the order; one such prime usually refutes
 it first.  Two classical resultant-based detectors are included as slow
 reference oracles.
 
+Only the deflated core g is scanned: the orders of g(x^r), r maximal,
+are the divisors k > 1 of r and the lifts of the orders of g (_lift).
+
 The scan tests every candidate up to 18 first, and a Galois certificate
 then usually ends it before the rest of the sieve is even built.  An
 order k puts Q(zeta_k), of degree phi(k), inside the splitting field,
@@ -197,31 +200,20 @@ def _strip_rational_roots(f, budget=512):
         nums, dens = divisors(a0), divisors(ad)
         if len(nums) * len(dens) > budget:
             break
-        root = None
-        for q in dens:
-            for pnum in nums:
-                if math.gcd(pnum, q) != 1:
-                    continue
-                for s in (1, -1):
-                    if P.eval_rational_num(f, Fraction(s * pnum, q)) == 0:
-                        root = (s * pnum, q)
-                        break
-                if root:
-                    break
-            if root:
-                break
+        candidates = (Fraction(s * a, q) for q in dens for a in nums if math.gcd(a, q) == 1
+                      for s in (1, -1))
+        root = next((x for x in candidates if P.eval_rational_num(f, x) == 0), None)
         if root is None:
             break
-        pnum, q = root
-        f = P.div_exact(f, [-pnum, q])
-        removed.append(Fraction(pnum, q))
+        f = P.div_exact(f, [-root.numerator, root.denominator])
+        removed.append(root)
     return f, removed
 
 
 def preprocess(f, decision_only=False, rng=None):
     """Normalize f before order detection: strip powers of x, content and
-    repeated factors, shrink coefficients, and record (without applying)
-    any x^r substructure, whose divisors > 1 are guaranteed orders.
+    repeated factors, shrink coefficients, and log any x^r substructure,
+    whose divisors > 1 are orders; the scan deflates it itself.
 
     In decision mode three more reductions are allowed because only the
     existence of an order matters: a common factor with f(-x) settles
@@ -398,25 +390,23 @@ def _batch_partition(ks):
         pending = rest
 
 
-def _candidate_batches(d, conjecture_bound, implied):
+def _candidate_batches(d, conjecture_bound):
     """The scan's candidate groups, ascending by their minima.
 
     The first group is every candidate k <= 18 and stands alone; the
     rest of the sieve follows in _batch_partition groups.  The sieve is
     built only when a second group is asked for, since from degree 8 on
     the first group is every such k with phi(k) under the cap: phi(k)
-    <= 16 there, and each even number up to 16 is a sieve entry.  The
-    implied orders of a composition x^r join the groups they fall in.
+    <= 16 there, and each even number up to 16 is a sieve entry.
     """
-    implied = [k for k in implied if k >= 3]
     if d < 8:  # a small sieve may leave out small k, and costs nothing
         head = [k for k in lrs_order_candidates(d, conjecture_bound).orders if k <= 18]
     else:
         cap = d if conjecture_bound else d * d - d
         head = [k for k in range(3, 19) if euler_phi(k) <= cap]
-    yield from _batch_partition(sorted(set(head).union(k for k in implied if k <= 18)))
-    rest = set(lrs_order_candidates(d, conjecture_bound).orders).union(implied)
-    yield from _batch_partition(sorted(k for k in rest if k > 18))
+    yield from _batch_partition(head)
+    rest = lrs_order_candidates(d, conjecture_bound).orders  # built only when asked for
+    yield from _batch_partition([k for k in rest if k > 18])
 
 
 def _batch_survivors(core, batch, seed_key):
@@ -579,25 +569,30 @@ def _report(found, log, mode, conjecture_bound):
     )
 
 
-def lrs_degeneracy_orders(
-    f,
-    rng=None,
-    verify=True,
-    mode="all_orders",
-    conjecture_bound=False,
-):
+def _lift(j, r):
+    """The orders of g(x^r) from an order j of g, or from the pairs over
+    one root of g for j = 1: the r-th roots of exp(2 pi i / j) are
+    exp(2 pi i (1 + j t) / (j r)), 0 <= t < r, and its conjugates give
+    the same orders."""
+    return {j * r // math.gcd(1 + j * t, j * r) for t in range(r)}
+
+
+def lrs_degeneracy_orders(f, rng=None, verify=True, mode="all_orders", conjecture_bound=False):
     """Detect every order k >= 2 for which two distinct roots of f differ
     by a primitive k-th root of unity.
 
-    Candidates come from the totient sieve for the preprocessed degree;
-    each is screened by three rounds of modular twisted-gcd tests and,
-    when verify is set, settled exactly.  first_order stops at the
-    smallest confirmed order, decision_only at the first survivor after
-    the stronger decision preprocessing.  Every candidate up to 18 is
-    tested first; a Galois certificate may then end the scan before the
-    sieve is built: see _galois_certificate.  Results are deterministic
-    for a fixed seed: every candidate draws its primes from an isolated
-    substream, so the outcome is independent of scan order.
+    The preprocessed core is g(x^r) with r maximal, and only g is
+    scanned.  Candidates come from the totient sieve for deg g; each is
+    screened by three rounds of modular twisted-gcd tests and, when
+    verify is set, settled exactly.  first_order stops at the smallest
+    confirmed order, decision_only at the first survivor after the
+    stronger decision preprocessing.  Every candidate up to 18 is tested
+    first; a Galois certificate may then end the scan before the sieve
+    is built: see _galois_certificate.  Each order of g lifts with its
+    status (_lift), and the divisors k > 1 of r are verified.  Results
+    are deterministic for a fixed seed: every candidate draws its primes
+    from an isolated substream, so the outcome is independent of scan
+    order.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -611,72 +606,66 @@ def lrs_degeneracy_orders(
     core, log = preprocess(f, decision_only=(mode == "decision_only"), rng=aux)
     if log.settled_order is not None:
         return _report([(log.settled_order, "verified")], log, mode, conjecture_bound)
-    d = P.degree(core)
-    if d >= 2 and not any(core[1:-1]):
-        # x^d + c: the root ratios are exactly the d-th roots of unity,
-        # so the divisors k > 1 of d are the whole answer.  c = 1 unless
-        # decision preprocessing stripped rational roots afterwards.
-        orders = [k for k in divisors(d) if k > 1]
-        if mode != "all_orders":
-            orders = orders[:1]
-        return _report([(k, "verified") for k in orders], log, mode, conjecture_bound)
-    found = []
-    if mode == "all_orders":
-        for k in log.implied_orders:
-            if k == 2:
-                found.append((2, "verified"))
-    if d < 2:
-        return _report(found, log, mode, conjecture_bound)
+    if P.degree(core) < 1:  # a monomial input, which deflate rejects
+        return _report([], log, mode, conjecture_bound)
+    g, r, _ = P.deflate(core)
+    d = P.degree(g)
 
-    if not found and mode != "decision_only":
-        if P.degree(P.gcd_poly(core, _negate_arg(core))) >= 1:
+    # first_order / decision_only stop at the first confirmed order, best.
+    # The least prime p of r is an order, and an order j < p of g lifts
+    # to j and multiples of j, so best starts at p and needs no lift;
+    # decision_only answers p at once.
+    best = None
+    if r > 1 and mode != "all_orders":
+        best = (factorize(r)[0][0], "verified")
+        if mode == "decision_only":
+            return _report([best], log, mode, conjecture_bound)
+    found = []
+    if d >= 2 and mode != "decision_only" and (best is None or best[0] > 2):
+        if P.degree(P.gcd_poly(g, _negate_arg(g))) >= 1:
             found.append((2, "verified"))
             if mode == "first_order":
                 return _report(found, log, mode, conjecture_bound)
 
-    # first_order / decision_only stop at the smallest confirmed order,
-    # best.  Group minima increase, so once a group starts above best no
-    # later group can beat it.
-    best = None
-    for i, batch in enumerate(_candidate_batches(d, conjecture_bound, log.implied_orders)):
+    # group minima increase: a group that starts at best or later is moot
+    batches = _candidate_batches(d, conjecture_bound) if d >= 2 else ()
+    for i, batch in enumerate(batches):
         group = batch[2]
-        if best is not None and group[0] > best:
+        if best is not None and group[0] >= best[0]:
             break
         kept = []
-        for k in sorted(_batch_survivors(core, batch, f"{master}:batch:{group[0]}")):
-            if best is not None and k >= best:
+        for k in sorted(_batch_survivors(g, batch, f"{master}:batch:{group[0]}")):
+            if best is not None and k >= best[0]:
                 break
-            if not _modular_test(core, k, f"{master}:{k}"):
+            if not _modular_test(g, k, f"{master}:{k}"):
                 continue
             kept.append(k)
             if not verify:
                 status = "probable"
             else:
-                status = "verified" if verify_order(core, k) else "refuted"
+                status = "verified" if verify_order(g, k) else "refuted"
             if mode != "all_orders" and status != "refuted":
-                best = k
+                best = (k, status)
                 break
             found.append((k, status))
         if i > 0:
             continue
-        if best is not None:
+        if best is not None and best[0] <= 18:
             break  # every later group starts above 18
         # the first group holds 3, 4 and 6, the only orders >= 3 that a
-        # certified input can carry (see the module docstring).  A core
-        # the certificate cannot serve is skipped: the roots of a
-        # palindromic one pair up as a, 1/a, a block system; one with a
-        # root at 1 or -1 (every anti-palindromic core) is reducible; and
-        # an irreducible core sharing a root with core(-x) is +-core(-x),
-        # even (so composed in x^2) or divisible by x
+        # certified input can carry (see the module docstring).  A g the
+        # certificate cannot serve is skipped: the roots of a palindromic
+        # one pair up as a, 1/a, a block system; one with a root at 1 or
+        # -1 (every anti-palindromic g) is reducible; and an irreducible
+        # g sharing a root with g(-x) is +-g(-x), so even or divisible by x
         if (
-            not log.implied_orders
-            and set(kept) <= {3, 4, 6}
+            set(kept) <= {3, 4, 6}
             and (2, "verified") not in found
-            and P.eval_int(core, 1)
-            and P.eval_int(core, -1)
-            and not P.is_palindromic(core)
+            and P.eval_int(g, 1)
+            and P.eval_int(g, -1)
+            and not P.is_palindromic(g)
         ):
-            used = _galois_certificate(core, f"{master}:galois", _certificate_budget(d))
+            used = _galois_certificate(g, f"{master}:galois", _certificate_budget(d))
             if used is not None:
                 log.steps.append(
                     f"Galois group contains A_{d} (cycle types at {used} primes): "
@@ -684,9 +673,11 @@ def lrs_degeneracy_orders(
                 )
                 break
     if best is not None:
-        found = [(k, s) for k, s in found if k < best]
-        found.append((best, "verified" if verify else "probable"))
-    return _report(found, log, mode, conjecture_bound)
+        found = [(k, s) for k, s in found if k < best[0]] + [best]
+        return _report(found, log, mode, conjecture_bound)
+    # every k in _lift(j, r) has k / gcd(k, r) = j, so lifts never meet
+    lifted = [(k, s) for j, s in [(1, "verified"), *found] for k in _lift(j, r) - {1}]
+    return _report(lifted, log, mode, conjecture_bound)
 
 
 def cdm_algorithm1(f, cap=12):

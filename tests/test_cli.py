@@ -206,6 +206,8 @@ def test_text_output_lrs(capsys):
     code = main(["lrs", "x^4+2*x^2+4*x+2", "--verify"])
     assert code == 0
     assert "order 8: verified" in capsys.readouterr().out
+    assert main(["lrs", "x^3"]) == 0  # a monomial leaves a constant core
+    assert capsys.readouterr().out == "# stripped x^3\nno degeneracy orders\n"
 
 
 def test_timings_flag_fills_field(capsys):
@@ -220,6 +222,20 @@ def test_json_output_is_byte_identical(capsys):
     assert code == 0
     main(argv)
     assert capsys.readouterr().out == first
+
+
+def test_leading_minus_sign_is_a_polynomial_not_an_option(capsys):
+    for command, poly, opts in [("index", "-x^2-1", []), ("lrs", "-3,4", []),
+                                ("lrs", "-(x^4+1)", ["--verify"])]:
+        code, doc, out = run_json(capsys, [command, poly, *opts])
+        assert code == 0 and doc["command"] == command
+        assert run_json(capsys, [command, *opts, "--", poly])[2] == out
+    _, doc, _ = run_json(capsys, ["lrs", "-x^2+2", "--mode", "first", "--seed", "-3"])
+    assert doc["seed"] == -3 and doc["result"]["orders"] == [{"k": 2, "status": "verified"}]
+    for argv in (["-h"], ["lrs", "-h"], ["index", "--help"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 0 and "usage: cyclo" in capsys.readouterr().out
 
 
 def test_bench_factors_reports_no_misses(capsys):
@@ -333,8 +349,7 @@ def _run_cli(argv):
 
 
 def _check_contract(command, poly):
-    # "--" keeps a leading minus sign from reading as an option
-    argv = ["--format", "json", *command, "--", poly]
+    argv = ["--format", "json", *command, poly]
     code, out, err = _run_cli(argv)
     assert code in (0, 2), (argv, code, err)
     assert "Traceback" not in err

@@ -571,6 +571,75 @@ def test_cdm2_agrees_with_minimum_order():
         assert cdm_algorithm2_first_order(f) == smallest
 
 
+def composition_corpus():
+    """g(x^r) for r = 2..4 up to degree 12: random g, scaled cyclotomics
+    times a linear factor, and degenerate pairs
+    (a0 + a1 x + a2 x^2)(a0 - a1 x + a2 x^2)."""
+    rng = random.Random(1729)
+    out = []
+    for r in (2, 3, 4):
+        top = 12 // r
+        for _ in range(14):
+            out.append(P.inflate(random_poly(rng, rng.randint(1, top), h=20), r))
+        for k in (3, 4, 5, 6, 8, 10, 12):
+            if euler_phi(k) < top:
+                lin = [rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)]
+                out.append(P.inflate(P.mul(scaled_phi(k, rng.randint(1, 3)), lin), r))
+        if 4 * r <= 12:
+            for _ in range(3):
+                a0, a1, a2 = (rng.randint(1, 9) for _ in range(3))
+                out.append(P.inflate(P.mul([a0, a1, a2], [a0, -a1, a2]), r))
+    return out
+
+
+def test_compositions_agree_with_oracle():
+    # only the deflated core g is scanned; its orders lift to those of g(x^r)
+    rng = random.Random(1730)
+    for f in composition_corpus():
+        core, _ = preprocess(f)
+        want = cdm_algorithm1(core)
+        seed = rng.randrange(2**32)
+        assert scan(f, rng=seed).verified_orders() == want, f
+        assert scan(f, rng=seed, mode="first_order").verified_orders() == want[:1], f
+        got = scan(f, rng=seed, mode="decision_only").verified_orders()
+        assert bool(got) == bool(want) and set(got) <= set(want), f
+
+
+def test_first_order_of_g_between_18_and_the_least_prime_of_r():
+    # Phi_19 has the single order 19, which lifts to 19 and 437 under
+    # x^23; 19 < 23 is the first order, found past the first group
+    f = P.inflate(phi_poly(19), 23)
+    assert scan(f, mode="first_order").orders == ((19, "verified"),)
+    assert scan(f, mode="decision_only").orders == ((23, "verified"),)
+    assert scan(f).verified_orders() == [19, 23, 437]
+    # an order-free g leaves the least prime of r, with or without the
+    # Galois certificate ending the scan of g
+    g = random_poly(random.Random(19), 10, h=50)
+    assert scan(g).orders == ()
+    assert scan(P.inflate(g, 23), mode="first_order").orders == ((23, "verified"),)
+    assert scan(P.inflate(g, 23)).orders == ((23, "verified"),)
+
+
+def test_compositions_scan_only_their_deflation(monkeypatch):
+    seen = []
+
+    def watch(name, degree):
+        inner = getattr(lrs, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append(degree(args[0]))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(lrs, name, wrapper)
+
+    watch("_batch_survivors", P.degree)
+    watch("_galois_certificate", P.degree)
+    watch("lrs_order_candidates", int)
+    g = random_poly(random.Random(7), 50, h=1024)
+    assert scan(P.inflate(g, 2), rng=1).orders == ((2, "verified"),)
+    assert seen and max(seen) <= 50
+
+
 # ------------------------------------------------------ Galois certificate
 
 
@@ -650,7 +719,7 @@ def test_certified_scan_builds_no_sieve(monkeypatch):
 def test_first_batch_is_the_sieve_up_to_18():
     for d in range(8, 201):
         for bound in (False, True):
-            head = next(_candidate_batches(d, bound, ()))[2]
+            head = next(_candidate_batches(d, bound))[2]
             assert head == [k for k in lrs_order_candidates(d, bound).orders if k <= 18]
 
 
