@@ -19,25 +19,15 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 from . import poly as P
 from .cyclotomic import cyclotomic_product, phi_poly
 from .factors import find_cyclo_factor_indexes
 from .lrs import lrs_degeneracy_orders
+from .numtheory import divisors
 from .recognize import cyclo_index
 
 _LRS_MODES = {"all": "all_orders", "first": "first_order", "decide": "decision_only"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    verify: bool = False
-    mode: str = "all"
-    output_format: str = "text"
-    conjecture_bound: bool = False
-    timings: bool = False
 
 
 class PolySyntaxError(ValueError):
@@ -190,27 +180,27 @@ def poly_from_arg(arg):
 # ---------------------------------------------------------------- reporting
 
 
-def _emit(cfg, command, degree, result, elapsed, preprocessing, text_lines):
-    if cfg.output_format == "json":
+def _emit(args, degree, result, elapsed, preprocessing, text_lines):
+    if args.format == "json":
         payload = {
             "input_degree": degree,
-            "command": command,
-            "seed": cfg.seed,
+            "command": args.command,
+            "seed": args.seed,
             "result": result,
-            "timings_ms": {"total": round(elapsed * 1000, 3)} if cfg.timings else None,
+            "timings_ms": {"total": round(elapsed * 1000, 3)} if args.timings else None,
             "preprocessing_log": preprocessing,
         }
         print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
             print(line)
-        if cfg.timings:
+        if args.timings:
             print(f"time: {elapsed * 1000:.1f} ms")
 
 
-def cmd_cyclo_index(f, cfg, method="prefix", verify=True):
+def cmd_cyclo_index(f, args):
     t0 = time.perf_counter()
-    v = cyclo_index(f, method=method, verify=verify)
+    v = cyclo_index(f, method=args.method, verify=not args.no_verify)
     elapsed = time.perf_counter() - t0
     result = {
         "cyclotomic": v.outcome == "cyclotomic",
@@ -228,11 +218,9 @@ def cmd_cyclo_index(f, cfg, method="prefix", verify=True):
     return result, elapsed, None, text
 
 
-def cmd_cyclo_factors(f, cfg, preprocess=False):
+def cmd_cyclo_factors(f, args):
     t0 = time.perf_counter()
-    rep = find_cyclo_factor_indexes(
-        f, rng=random.Random(cfg.seed), verify=cfg.verify, preprocess=preprocess
-    )
+    rep = find_cyclo_factor_indexes(f, rng=random.Random(args.seed), verify=args.verify)
     elapsed = time.perf_counter() - t0
     verified = None
     if rep.verified is not None:
@@ -253,14 +241,14 @@ def cmd_cyclo_factors(f, cfg, preprocess=False):
     return result, elapsed, None, text
 
 
-def cmd_lrs_orders(f, cfg):
+def cmd_lrs_orders(f, args):
     t0 = time.perf_counter()
     rep = lrs_degeneracy_orders(
         f,
-        rng=cfg.seed,
-        verify=cfg.verify,
-        mode=_LRS_MODES[cfg.mode],
-        conjecture_bound=cfg.conjecture_bound,
+        rng=args.seed,
+        verify=args.verify,
+        mode=_LRS_MODES[args.mode],
+        conjecture_bound=args.conjecture_bound,
     )
     elapsed = time.perf_counter() - t0
     result = {
@@ -306,28 +294,32 @@ def bench_index(seed):
     return rows
 
 
+def _factors_row(case, f, want, rng):
+    rep, ms = _timed(lambda: find_cyclo_factor_indexes(f, rng=rng))
+    got = set(rep.verified_low) | {k for k in rep.candidates if rep.verified[k]}
+    missed = len(set(want) - got)
+    return {
+        "case": case,
+        "degree": P.degree(f),
+        "ms": round(ms, 2),
+        "summary": f"recovered {len(set(want) & got)}/{len(want)}, "
+        f"missed {missed}, extras {len(got - set(want))}",
+        "missed": missed,
+    }
+
+
 def bench_factors(seed):
     rng = random.Random(seed)
     rows = []
     for trial in range(3):
         want = sorted(rng.sample(range(1, 501), 30))
         f = cyclotomic_product(want)
-        rep, ms = _timed(
-            lambda: find_cyclo_factor_indexes(f, rng=random.Random(rng.randrange(2**32)))
-        )
-        got = set(rep.verified_low) | {k for k in rep.candidates if rep.verified[k]}
-        missed = sorted(set(want) - got)
-        extras = sorted(got - set(want))
         rows.append(
-            {
-                "case": f"product_{trial}",
-                "degree": P.degree(f),
-                "ms": round(ms, 2),
-                "summary": f"recovered {len(set(want) & got)}/{len(want)}, "
-                f"missed {len(missed)}, extras {len(extras)}",
-                "missed": len(missed),
-            }
+            _factors_row(f"product_{trial}", f, want, random.Random(rng.randrange(2**32)))
         )
+    # content and x^r structure: 2 x^2000 - 2, whose core is x - 1
+    f = [-2] + [0] * 1999 + [2]
+    rows.append(_factors_row("content_x2000_minus_1", f, divisors(2000), random.Random(seed)))
     return rows
 
 
@@ -359,11 +351,12 @@ def bench_lrs(seed):
 _SCENARIOS = {"index": bench_index, "factors": bench_factors, "lrs": bench_lrs}
 
 
-def cmd_bench(scenario, cfg):
+def cmd_bench(args):
+    scenario = args.scenario
     names = list(_SCENARIOS) if scenario == "all" else [scenario]
     rows = []
     for name in names:
-        rows.extend(_SCENARIOS[name](cfg.seed))
+        rows.extend(_SCENARIOS[name](args.seed))
     text = [f"{'case':24} {'deg':>6} {'ms':>10}  summary"]
     for r in rows:
         text.append(f"{r['case']:24} {r['degree']:>6} {r['ms']:>10.2f}  {r['summary']}")
@@ -371,6 +364,8 @@ def cmd_bench(scenario, cfg):
 
 
 # -------------------------------------------------------------------- main
+
+_COMMANDS = {"index": cmd_cyclo_index, "factors": cmd_cyclo_factors, "lrs": cmd_lrs_orders}
 
 
 def build_parser():
@@ -381,6 +376,7 @@ def build_parser():
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--timings", action="store_true", help="include wall time")
+    ap.set_defaults(seed=0, verify=False, mode="all", conjecture_bound=False)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", help="is the polynomial cyclotomic, and which one")
@@ -391,7 +387,6 @@ def build_parser():
     p = sub.add_parser("factors", help="indexes of all cyclotomic factors")
     p.add_argument("poly")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--preprocess", action="store_true")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("lrs", help="degeneracy orders of the recurrence")
@@ -413,36 +408,19 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     argv = [" " + a if re.match(r"-[\d\sx(]", a) else a for a in argv]
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        seed=getattr(args, "seed", 0),
-        verify=getattr(args, "verify", False),
-        mode=getattr(args, "mode", "all"),
-        output_format=args.format,
-        conjecture_bound=getattr(args, "conjecture_bound", False),
-        timings=args.timings,
-    )
     try:
         if args.command == "bench":
-            result, elapsed, prep, text = cmd_bench(args.scenario, cfg)
+            result, elapsed, prep, text = cmd_bench(args)
             degree = None
         else:
             f = poly_from_arg(args.poly)
-            if args.command == "index":
-                result, elapsed, prep, text = cmd_cyclo_index(
-                    f, cfg, method=args.method, verify=not args.no_verify
-                )
-            elif args.command == "factors":
-                result, elapsed, prep, text = cmd_cyclo_factors(
-                    f, cfg, preprocess=args.preprocess
-                )
-            else:
-                result, elapsed, prep, text = cmd_lrs_orders(f, cfg)
+            result, elapsed, prep, text = _COMMANDS[args.command](f, args)
             degree = P.degree(f)
     except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"cyclo: error: {exc}", file=sys.stderr)
         return 2
     try:
-        _emit(cfg, args.command, degree, result, elapsed, prep, text)
+        _emit(args, degree, result, elapsed, prep, text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe, as `| head` does: point stdout at

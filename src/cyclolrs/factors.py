@@ -6,6 +6,9 @@ accumulated integer N.  Primitive prime factors of p^k - q^k make true
 indexes immortal under this refinement, while random points starve the
 false ones.  An optional exact trial division pass settles whatever
 survives.
+
+All of this runs on the primitive deflated core g of f = c x^e g(x^r)
+only; the indexes of g lift to those of f exactly (poly.lift).
 """
 
 import math
@@ -149,7 +152,10 @@ def _run_bound(f):
     """Degree of any cyclotomic factor is at most deg f - (r+s+2) when
     some common divisor > 1 spans the r+1 lowest and s+1 highest
     coefficients: reduction mod any of its primes keeps the factor's
-    full degree while the runs force degree loss and an x-power shift."""
+    full degree while the runs force degree loss and an x-power shift.
+
+    f must be primitive with f(0) != 0.  Content spans every
+    coefficient, and the bound would then go negative."""
     d = P.degree(f)
     g = math.gcd(f[0], f[-1])
     if g == 1:
@@ -165,8 +171,14 @@ def _run_bound(f):
     return min(d, d - (r + s + 2))
 
 
-def find_cyclo_factor_indexes(f, rng=None, verify=True, preprocess=False):
+def find_cyclo_factor_indexes(f, rng=None, verify=True):
     """Locate the indexes of every cyclotomic factor of f.
+
+    Content, sign and powers of x hide no index, and Phi_k divides
+    g(x^r) iff Phi_j divides g with j = k / gcd(k, r).  So f is written
+    once as c x^e g(x^r), with g primitive and r maximal; only g is
+    evaluated and divided, and each index j of g lifts to the indexes
+    poly.lift(j, r) of f with the verdict of j.
 
     First evaluation point is always 2; afterwards seeded random points
     refine the list until it stops changing.  The first stabilization
@@ -175,33 +187,25 @@ def find_cyclo_factor_indexes(f, rng=None, verify=True, preprocess=False):
     re-added after the initial pass at 2 because 2^6 - 1 carries no
     prime unseen at smaller exponents, so a genuine 6 can vanish there.
     """
+    f = P.canonical(f)
     if P.degree(f) < 1:
         raise ValueError("input must be non-constant")
     if rng is None:
         rng = random.Random()
-    original = list(f)
-    f = P.canonical(f)
-    r = 0
-    while f[r] == 0:
-        r += 1
-    f = f[r:]  # Phi_k(0) != 0: a power of x hides no index
-    if preprocess:
-        f = P.radical_poly(f)
-        rev = P.reverse(f)
-        sym = P.gcd_poly(f, rev)
-        if P.degree(sym) >= 1:
-            f = sym
-    verified_low = []
-    if P.eval_int(f, 1) == 0:
-        verified_low.append(1)
-    if P.eval_int(f, -1) == 0:
-        verified_low.append(2)
-    L = _initial_candidates(_run_bound(f))
+    if len(f) - f.count(0) < 2:  # c x^n: no index at all
+        return FactorIndexReport([], [], {} if verify else None, [])
+    g, r, _ = P.deflate(P.primitive_part(f))
+    low = []
+    if P.eval_int(g, 1) == 0:
+        low.append(1)
+    if P.eval_int(g, -1) == 0:
+        low.append(2)
+    L = _initial_candidates(_run_bound(g))
     points = []
     beta = Fraction(2)
     had6 = 6 in L
     points.append(beta)
-    refined = refine_candidates(f, beta, L)
+    refined = refine_candidates(g, beta, L)
     if had6 and 6 not in refined:
         refined = sorted(refined + [6])
     L = refined
@@ -209,23 +213,26 @@ def find_cyclo_factor_indexes(f, rng=None, verify=True, preprocess=False):
     while L:
         beta = random_rational(rng, beta)
         points.append(beta)
-        new = refine_candidates(f, beta, L)
+        new = refine_candidates(g, beta, L)
         if new == L:
             if special_done:
                 break
             special_done = True
             sp = rng.choice(SPECIAL_POINTS)
             points.append(sp)
-            new = refine_candidates(f, sp, L)
+            new = refine_candidates(g, sp, L)
             if new == L:
                 break
         L = new
-    verdicts = None
-    if verify:
-        verdicts = {k: divides_exactly(original, k) for k in L}
+    # the indexes 1 and 2 of g are exact; every other j waits on division
+    verdict = dict.fromkeys(low, True)
+    for j in L:
+        verdict[j] = divides_exactly(g, j) if verify else None
+    lifted = {k: ok for j, ok in verdict.items() for k in P.lift(j, r)}
+    candidates = sorted(k for k in lifted if k > 2)
     return FactorIndexReport(
-        verified_low=verified_low,
-        candidates=list(L),
-        verified=verdicts,
+        verified_low=sorted(k for k in lifted if k <= 2),
+        candidates=candidates,
+        verified={k: lifted[k] for k in candidates} if verify else None,
         evaluation_points_used=points,
     )

@@ -13,7 +13,7 @@ it first.  Two classical resultant-based detectors are included as slow
 reference oracles.
 
 Only the deflated core g is scanned: the orders of g(x^r), r maximal,
-are the divisors k > 1 of r and the lifts of the orders of g (_lift).
+are the divisors k > 1 of r and the lifts of the orders of g (poly.lift).
 
 The scan tests every candidate up to 18 first, and a Galois certificate
 then usually ends it before the rest of the sieve is even built.  An
@@ -29,7 +29,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 
 from . import factors
 from . import poly as P
@@ -64,7 +63,6 @@ _ORACLE_SEED = 271828
 
 @dataclass(frozen=True)
 class CandidateOrders:
-    divisor_sieve: frozenset  # even products alpha*beta plus even squares
     orders: tuple  # ascending k >= 3 whose totient divides a sieve entry
 
     def __post_init__(self):
@@ -142,9 +140,7 @@ def lrs_order_candidates(d, conjecture_bound=False):
         for k in range(3, kmax + 1)
         if phi[k] <= cap and phi[k] <= top and divides_entry[phi[k]]
     )
-    return CandidateOrders(
-        divisor_sieve=frozenset(compress(range(top + 1), in_sieve)), orders=orders
-    )
+    return CandidateOrders(orders=orders)
 
 
 def _reduce_once(f):
@@ -569,14 +565,6 @@ def _report(found, log, mode, conjecture_bound):
     )
 
 
-def _lift(j, r):
-    """The orders of g(x^r) from an order j of g, or from the pairs over
-    one root of g for j = 1: the r-th roots of exp(2 pi i / j) are
-    exp(2 pi i (1 + j t) / (j r)), 0 <= t < r, and its conjugates give
-    the same orders."""
-    return {j * r // math.gcd(1 + j * t, j * r) for t in range(r)}
-
-
 def lrs_degeneracy_orders(f, rng=None, verify=True, mode="all_orders", conjecture_bound=False):
     """Detect every order k >= 2 for which two distinct roots of f differ
     by a primitive k-th root of unity.
@@ -589,7 +577,7 @@ def lrs_degeneracy_orders(f, rng=None, verify=True, mode="all_orders", conjectur
     stronger decision preprocessing.  Every candidate up to 18 is tested
     first; a Galois certificate may then end the scan before the sieve
     is built: see _galois_certificate.  Each order of g lifts with its
-    status (_lift), and the divisors k > 1 of r are verified.  Results
+    status (poly.lift), and the divisors k > 1 of r are verified.  Results
     are deterministic for a fixed seed: every candidate draws its primes
     from an isolated substream, so the outcome is independent of scan
     order.
@@ -675,8 +663,9 @@ def lrs_degeneracy_orders(f, rng=None, verify=True, mode="all_orders", conjectur
     if best is not None:
         found = [(k, s) for k, s in found if k < best[0]] + [best]
         return _report(found, log, mode, conjecture_bound)
-    # every k in _lift(j, r) has k / gcd(k, r) = j, so lifts never meet
-    lifted = [(k, s) for j, s in [(1, "verified"), *found] for k in _lift(j, r) - {1}]
+    # an order j of g, or j = 1 for the pairs over one root of g, gives
+    # the orders P.lift(j, r) of g(x^r); lifts never meet
+    lifted = [(k, s) for j, s in [(1, "verified"), *found] for k in P.lift(j, r) - {1}]
     return _report(lifted, log, mode, conjecture_bound)
 
 

@@ -83,10 +83,7 @@ def derivative(f) -> list[int]:
 
 
 def content(f) -> int:
-    g = 0
-    for a in f:
-        g = math.gcd(g, a)
-    return g
+    return math.gcd(*f)
 
 
 def primitive_part(f) -> list[int]:
@@ -127,8 +124,18 @@ def deflate(f) -> tuple[list[int], int, int]:
     r = 0
     for e in exps[1:]:
         r = math.gcd(r, e - d0)
+        if r == 1:
+            break
     g = f[d0::r]
     return canonical(g), r, d0
+
+
+def lift(j: int, r: int) -> set[int]:
+    """The k with k / gcd(k, r) = j: the orders of the r-th roots of a
+    primitive j-th root of unity exp(2 pi i / j), which are
+    exp(2 pi i (1 + j t) / (j r)) for 0 <= t < r.  So Phi_k divides
+    g(x^r) iff Phi_j divides g, and the lifts of distinct j never meet."""
+    return {j * r // math.gcd(1 + j * t, j * r) for t in range(r)}
 
 
 def inflate(f, r: int) -> list[int]:

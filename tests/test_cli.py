@@ -195,6 +195,20 @@ def test_factors_ground_truth(capsys):
     assert kept == [3, 6]
 
 
+def test_factors_finds_indexes_under_content(capsys):
+    for poly, k in [("2*x^2+2*x+2", 3), ("2*x^4+2", 8), ("3*(x^4+x^3+x^2+x+1)*(x-2)", 5)]:
+        code, doc, _ = run_json(capsys, ["factors", poly, "--verify"])
+        assert code == 0
+        assert [int(j) for j, ok in doc["result"]["verified"].items() if ok] == [k]
+
+
+def test_factors_has_no_preprocess_flag(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["factors", "x^2+x+1", "--preprocess"])
+    assert e.value.code == 2
+    capsys.readouterr()
+
+
 def test_factors_without_verify_leaves_candidates(capsys):
     code, doc, _ = run_json(capsys, ["factors", "x^2+x+1", "--seed", "4"])
     assert code == 0
@@ -242,7 +256,9 @@ def test_bench_factors_reports_no_misses(capsys):
     code, doc, _ = run_json(capsys, ["bench", "factors", "--seed", "6"])
     assert code == 0
     rows = doc["result"]["cases"]
-    assert len(rows) == 3
+    assert [r["case"] for r in rows] == [
+        "product_0", "product_1", "product_2", "content_x2000_minus_1"
+    ]
     assert all(r["missed"] == 0 for r in rows)
     assert all(r["ms"] >= 0 and r["degree"] > 0 for r in rows)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclolrs import factors
 from cyclolrs import poly as P
 from cyclolrs.cyclotomic import cyclotomic_product, phi_poly
 from cyclolrs.factors import (
@@ -15,7 +16,7 @@ from cyclolrs.factors import (
     random_rational,
     refine_candidates,
 )
-from cyclolrs.numtheory import euler_phi
+from cyclolrs.numtheory import divisors, euler_phi, totient_sieve
 
 
 def verified_set(report):
@@ -112,8 +113,6 @@ def test_find_indexes_with_cofactor_and_multiplicity():
     f = P.mul(f, phi_poly(5))  # squared factor
     r = find_cyclo_factor_indexes(f, rng=random.Random(3))
     assert verified_set(r) == [5, 8]
-    r2 = find_cyclo_factor_indexes(f, rng=random.Random(3), preprocess=True)
-    assert verified_set(r2) == [5, 8]
 
 
 def test_find_indexes_fixed_divisor_family():
@@ -182,3 +181,65 @@ def test_power_of_x_is_stripped_before_the_sieve():
     f = [0] * 5 + phi_poly(7)
     rep = find_cyclo_factor_indexes(f, rng=random.Random(2), verify=True)
     assert verified_set(rep) == [7]
+
+
+def phi_divides(f, k):
+    """Oracle: long division of f by the monic Phi_k over the integers."""
+    rem = P.canonical(f)
+    phi = phi_poly(k)
+    while len(rem) >= len(phi):
+        c, off = rem[-1], len(rem) - len(phi)
+        for j, a in enumerate(phi):
+            rem[off + j] -= c * a
+        rem = P.canonical(rem)
+    return rem == []
+
+
+def true_indexes(f):
+    """Every k with phi(k) <= deg f whose Phi_k divides f (such k stay
+    below 8 deg f + 8, as k / phi(k) < 8 here).  Phi_k | f needs
+    Phi_k(2) | f(2), which screens most k before the division."""
+    d = P.degree(f)
+    phi = totient_sieve(8 * d + 8)
+    f2 = P.eval_int(f, 2)
+    return [
+        k
+        for k in range(1, 8 * d + 9)
+        if phi[k] <= d and f2 % P.eval_int(phi_poly(k), 2) == 0 and phi_divides(f, k)
+    ]
+
+
+def found_indexes(report):
+    return report.verified_low + [k for k in report.candidates if report.verified[k]]
+
+
+def test_indexes_match_exact_division_under_content_sign_x_powers_and_x_r():
+    # content, sign and powers of x hide no index, and the indexes of
+    # g(x^r) are those k with Phi_{k / gcd(k, r)} | g
+    rng = random.Random(20261020)
+    for trial in range(150):
+        g = cyclotomic_product(rng.sample(range(1, 25), rng.randint(0, 3)))
+        if rng.random() < 0.7:
+            g = P.mul(g, [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1])
+        if P.degree(g) < 1:
+            g = [rng.choice([-3, -1, 2]), 1]
+        c = rng.choice([1, 2, -3, 6, -1])
+        f = [0] * rng.randint(0, 3) + P.mul_scalar(P.inflate(g, rng.choice([1, 2, 3, 4, 6])), c)
+        rep = find_cyclo_factor_indexes(f, rng=random.Random(trial), verify=True)
+        assert found_indexes(rep) == true_indexes(f), (trial, f)
+
+
+def test_composition_evaluates_only_its_core(monkeypatch):
+    # 2 (x^2000 - 1) = 2 g(x^2000) with g = x - 1: the 20 divisors of
+    # 2000 come from lifting index 1 of g, and no pass sees degree 2000
+    seen = []
+    refine = factors.refine_candidates
+
+    def spy(f, beta, L):
+        seen.append(P.degree(f))
+        return refine(f, beta, L)
+
+    monkeypatch.setattr(factors, "refine_candidates", spy)
+    rep = find_cyclo_factor_indexes([-2] + [0] * 1999 + [2], rng=random.Random(1))
+    assert found_indexes(rep) == list(divisors(2000))
+    assert seen and max(seen) <= 1

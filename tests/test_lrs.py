@@ -80,15 +80,13 @@ def test_reduce_coefficients_rejects():
 
 
 def test_candidates_degree_two():
-    c = lrs_order_candidates(2)
-    assert c.divisor_sieve == frozenset({2})
-    assert c.orders == (3, 4, 6)
+    assert double_loop_candidates(2)[0] == frozenset({2})
+    assert lrs_order_candidates(2).orders == (3, 4, 6)
 
 
 def test_candidates_degree_three():
-    c = lrs_order_candidates(3)
-    assert c.divisor_sieve == frozenset({2, 6})
-    assert c.orders == (3, 4, 6, 7, 9, 14, 18)
+    assert double_loop_candidates(3)[0] == frozenset({2, 6})
+    assert lrs_order_candidates(3).orders == (3, 4, 6, 7, 9, 14, 18)
 
 
 def test_candidates_rejects_small_degree():
@@ -102,7 +100,7 @@ def test_candidates_invariants(d):
     c = lrs_order_candidates(d)
     top = d * d - d
     kmax = inverse_totient_max(top)
-    sieve = sorted(c.divisor_sieve)
+    sieve = sorted(double_loop_candidates(d)[0])
     for k in c.orders:
         assert 3 <= k <= kmax
         phi = euler_phi(k)
@@ -158,7 +156,7 @@ def double_loop_candidates(d, conjecture_bound=False):
 def test_candidates_match_double_loop(d):
     for bound in (False, True):
         c = lrs_order_candidates(d, conjecture_bound=bound)
-        assert (c.divisor_sieve, c.orders) == double_loop_candidates(d, bound)
+        assert c.orders == double_loop_candidates(d, bound)[1]
 
 
 # ------------------------------------------------------------ preprocessing
