@@ -13,12 +13,12 @@ only; the indexes of g lift to those of f exactly (poly.lift).
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import poly as P
 from .cyclotomic import phi_poly
-from .numtheory import divisors, euler_phi, moebius, saturate, totient_sieve
+from .numtheory import divisors, euler_phi, moebius, saturate, totient_ceiling, totient_sieve
 
 # beta values whose index-3/4/6 evaluation numerators all carry a prime
 # factor above 10^4, used once when the candidate list first stabilizes
@@ -27,15 +27,21 @@ SPECIAL_POINTS = (Fraction(117, 98), Fraction(133, 18), Fraction(169, 6))
 _POINT_CAP = 1 << 16
 
 
-@dataclass
-class FactorIndexReport:
-    verified_low: list  # subset of [1, 2], established by root test
-    candidates: list  # surviving indexes >= 3, ascending
-    verified: dict  # index -> bool, or None when verification skipped
-    evaluation_points_used: list
+class FactorIndexReport(
+    namedtuple(
+        "FactorIndexReport", "verified_low candidates verified evaluation_points_used"
+    )
+):
+    """verified_low: subset of [1, 2], established by root test;
+    candidates: surviving indexes >= 3, ascending; verified: index ->
+    bool, or None when verification skipped."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         assert self.candidates == sorted(set(self.candidates))
+        return self
 
 
 def phi_value_num(k, p, q):
@@ -139,11 +145,10 @@ def divides_exactly(f, k):
 
 
 def _initial_candidates(bound):
-    # all k >= 3 with phi(k) <= bound; k/phi(k) < 8 far past any degree
-    # seen here, so an 8x sieve cannot miss an index
+    # all k >= 3 with phi(k) <= bound, sieved up to a proven ceiling
     if bound < 1:
         return []
-    limit = 8 * bound + 8
+    limit = totient_ceiling(bound)
     phi = totient_sieve(limit)
     return [k for k in range(3, limit + 1) if phi[k] <= bound]
 

@@ -12,8 +12,10 @@ nontrivial gcd with f proves the order; one such prime usually refutes
 it first.  Two classical resultant-based detectors are included as slow
 reference oracles.
 
-Only the deflated core g is scanned: the orders of g(x^r), r maximal,
-are the divisors k > 1 of r and the lifts of the orders of g (poly.lift).
+preprocess only normalizes f.  The scan then writes its core once as
+g(x^r), r maximal, shrinks the coefficients of g by a rational scaling,
+and scans g alone: the orders of g(x^r) are the divisors k > 1 of r and
+the lifts of the orders of g (poly.lift).
 
 The scan tests every candidate up to 18 first, and a Galois certificate
 then usually ends it before the rest of the sieve is even built.  An
@@ -27,7 +29,7 @@ length q with d/2 < q <= d - 3 then forces A_d into the group (Jordan).
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import factors
@@ -61,28 +63,20 @@ _STATUSES = ("probable", "verified", "refuted")
 _ORACLE_SEED = 271828
 
 
-@dataclass(frozen=True)
-class CandidateOrders:
-    orders: tuple  # ascending k >= 3 whose totient divides a sieve entry
-
-    def __post_init__(self):
-        assert list(self.orders) == sorted(set(self.orders))
-        assert all(k >= 3 for k in self.orders)
+# orders: ascending k >= 3 whose totient divides a sieve entry
+CandidateOrders = namedtuple("CandidateOrders", "orders")
 
 
-@dataclass(frozen=True)
-class OrderReport:
-    orders: tuple  # ascending (k, status) pairs
-    preprocessing_log: tuple
-    mode: str
-    conjecture_bound_used: bool
-    implied_by_deflation: tuple = ()
+class OrderReport(
+    namedtuple(
+        "OrderReport",
+        "orders preprocessing_log mode conjecture_bound_used implied_by_deflation",
+        defaults=((),),
+    )
+):
+    """orders: ascending (k, status) pairs."""
 
-    def __post_init__(self):
-        assert self.mode in _MODES
-        ks = [k for k, _ in self.orders]
-        assert ks == sorted(ks) and all(k >= 2 for k in ks)
-        assert all(s in _STATUSES for _, s in self.orders)
+    __slots__ = ()
 
     def verified_orders(self):
         return [k for k, s in self.orders if s == "verified"]
@@ -91,15 +85,13 @@ class OrderReport:
         return [k for k, s in self.orders if s != "refuted"]
 
 
-@dataclass
-class PreprocessLog:
-    steps: list = field(default_factory=list)
-    implied_orders: tuple = ()
-    settled_order: int | None = None  # decision mode: order found early
-
-
 def _negate_arg(f):
     return P.canonical([-a if j % 2 else a for j, a in enumerate(f)])
+
+
+def _has_order_2(f):
+    # a root a with -a also a root is a common root of f(x) and f(-x)
+    return P.degree(P.gcd_poly(f, _negate_arg(f))) >= 1
 
 
 def _multiplicity(p, n):
@@ -140,18 +132,13 @@ def lrs_order_candidates(d, conjecture_bound=False):
         for k in range(3, kmax + 1)
         if phi[k] <= cap and phi[k] <= top and divides_entry[phi[k]]
     )
+    assert list(orders) == sorted(set(orders)) and all(k >= 3 for k in orders)
     return CandidateOrders(orders=orders)
 
 
 def _reduce_once(f):
-    # one scaling pass; a perfect power of x^r recurses on the inner factor
-    core, r, _ = P.deflate(f)
-    if r > 1:
-        inner, lam = _reduce_once(core)
-        return P.inflate(inner, r), lam
-    g = 0
-    for a in f[1:]:
-        g = math.gcd(g, a)
+    # one scaling pass: x -> x / p^m whenever p^(jm) divides every a_j, j >= 1
+    g = math.gcd(*f[1:])
     if g == 1:
         return list(f), Fraction(1)
     lam = Fraction(1)
@@ -169,18 +156,14 @@ def reduce_coefficients(f):
     the set of degeneracy orders intact.
 
     The scaling pass runs once forward and once on the reversal, since
-    each direction only ever divides primes out of one end.  A pure
-    two-term polynomial collapses straight to x^d + 1: its root ratios
-    are exactly the d-th roots of unity either way.
+    each direction only ever divides primes out of one end.  The scan
+    applies it once, to its deflated core g when deg g >= 2.
     """
     f = P.canonical(f)
-    d = P.degree(f)
-    if d < 1 or f[0] == 0:
+    if P.degree(f) < 1 or f[0] == 0:
         raise ValueError("input must be non-constant with nonzero trailing term")
     if P.content(f) != 1:
         raise ValueError("input must be content-free")
-    if all(a == 0 for a in f[1:-1]):
-        return [1] + [0] * (d - 1) + [1], Fraction(1)
     f1, lam1 = _reduce_once(f)
     f2, lam2 = _reduce_once(P.reverse(f1))
     return P.reverse(f2), lam1 / lam2
@@ -206,74 +189,59 @@ def _strip_rational_roots(f, budget=512):
     return f, removed
 
 
-def preprocess(f, decision_only=False, rng=None):
-    """Normalize f before order detection: strip powers of x, content and
-    repeated factors, shrink coefficients, and log any x^r substructure,
-    whose divisors > 1 are orders; the scan deflates it itself.
+def preprocess(f):
+    """Normalize f before order detection: strip the power of x, the
+    content and sign, and repeated factors, none of which changes the
+    orders.  Returns (core, steps), steps the log lines of what was done.
 
-    In decision mode three more reductions are allowed because only the
-    existence of an order matters: a common factor with f(-x) settles
-    the question at order 2, a cyclotomic factor of index above 2
-    settles it via the orders every cyclotomic polynomial carries, and
-    linear factors can no longer contribute once order 2 is excluded.
+    Everything else happens once, in lrs_degeneracy_orders: deflation,
+    coefficient scaling and the decision-mode shortcuts.
     """
     f = P.canonical(f)
     if P.degree(f) < 1:
         raise ValueError("input must be non-constant")
-    log = PreprocessLog()
+    steps = []
     d0 = 0
     while f[d0] == 0:
         d0 += 1
     if d0:
         f = f[d0:]
-        log.steps.append(f"stripped x^{d0}")
+        steps.append(f"stripped x^{d0}")
     if P.degree(f) < 1:
-        return P.primitive_part(f), log
+        return P.primitive_part(f), steps
     c = P.content(f)
     if c != 1 or f[-1] < 0:
         f = P.primitive_part(f)
         if c != 1:
-            log.steps.append(f"content {c} removed")
+            steps.append(f"content {c} removed")
     if not P.is_squarefree(f):
         f = P.radical_poly(f)
-        log.steps.append("radical taken")
-    g, lam = reduce_coefficients(f)
-    if g != f:
-        f = P.primitive_part(g)
-        if lam == 1:
-            log.steps.append(f"binomial reduced to x^{P.degree(f)}+1")
-        else:
-            log.steps.append(f"coefficients reduced, lambda {lam}")
-    _, r, _ = P.deflate(f)
-    if r > 1:
-        implied = tuple(k for k in divisors(r) if k > 1)
-        log.implied_orders = implied
-        log.steps.append(f"composed in x^{r}: orders {list(implied)} implied")
-        if decision_only:
-            log.settled_order = implied[0]
-            return f, log
-    if decision_only and P.degree(f) >= 2:
-        if P.degree(P.gcd_poly(f, _negate_arg(f))) >= 1:
-            log.settled_order = 2
-            log.steps.append("common factor with f(-x): order 2")
-            return f, log
-        rep = factors.find_cyclo_factor_indexes(f, rng=rng, verify=True)
-        witness = None
-        for k in rep.candidates:
-            if rep.verified.get(k):
-                witness = k
-                break
-        if witness is not None:
-            # an odd index k is itself an order; an even survivor of the
-            # f(-x) test has k = 2 mod 4, making k/2 an odd order
-            w = witness if witness % 2 else witness // 2
-            log.settled_order = w
-            log.steps.append(f"cyclotomic factor of index {witness}: order {w}")
-            return f, log
-        f, removed = _strip_rational_roots(f)
-        if removed:
-            log.steps.append(f"linear factors removed at {removed}")
-    return f, log
+        steps.append("radical taken")
+    return f, steps
+
+
+def _decision_shortcuts(f, steps, rng):
+    """Decision mode's reductions of a deflated core f of degree >= 2,
+    allowed because only the existence of an order matters: a common
+    factor with f(-x) settles the question at order 2, a cyclotomic
+    factor of index above 2 settles it via the orders every cyclotomic
+    polynomial carries, and linear factors can no longer contribute once
+    order 2 is excluded.  Returns (settled order or None, stripped f)."""
+    if _has_order_2(f):
+        steps.append("common factor with f(-x): order 2")
+        return 2, f
+    rep = factors.find_cyclo_factor_indexes(f, rng=rng, verify=True)
+    witness = next((k for k in rep.candidates if rep.verified.get(k)), None)
+    if witness is not None:
+        # an odd index k is itself an order; an even survivor of the
+        # f(-x) test has k = 2 mod 4, making k/2 an odd order
+        w = witness if witness % 2 else witness // 2
+        steps.append(f"cyclotomic factor of index {witness}: order {w}")
+        return w, f
+    f, removed = _strip_rational_roots(f)
+    if removed:
+        steps.append(f"linear factors removed at {removed}")
+    return None, f
 
 
 def verify_order(f, k):
@@ -298,7 +266,7 @@ def verify_order(f, k):
     if not P.is_squarefree(f):
         raise ValueError("input must be square-free")
     if k == 2:
-        return P.degree(P.gcd_poly(f, _negate_arg(f))) >= 1
+        return _has_order_2(f)
     p = next(_norm_primes(f, k))
     fbar = [a % p for a in f]
     if not _twists_share_factor(fbar, _primitive_powers(primitive_kth_root(p, k), k, p), p):
@@ -555,30 +523,30 @@ def _certificate_budget(d):
     return max(32, 7 * d // 10)
 
 
-def _report(found, log, mode, conjecture_bound):
-    return OrderReport(
-        orders=tuple(sorted(found)),
-        preprocessing_log=tuple(log.steps),
-        mode=mode,
-        conjecture_bound_used=conjecture_bound,
-        implied_by_deflation=log.implied_orders,
-    )
+def _report(found, steps, implied, mode, conjecture_bound):
+    orders = tuple(sorted(found))
+    assert mode in _MODES
+    assert all(k >= 2 and s in _STATUSES for k, s in orders)
+    return OrderReport(orders, tuple(steps), mode, conjecture_bound, implied)
 
 
 def lrs_degeneracy_orders(f, rng=None, verify=True, mode="all_orders", conjecture_bound=False):
     """Detect every order k >= 2 for which two distinct roots of f differ
     by a primitive k-th root of unity.
 
-    The preprocessed core is g(x^r) with r maximal, and only g is
-    scanned.  Candidates come from the totient sieve for deg g; each is
-    screened by three rounds of modular twisted-gcd tests and, when
-    verify is set, settled exactly.  first_order stops at the smallest
-    confirmed order, decision_only at the first survivor after the
-    stronger decision preprocessing.  Every candidate up to 18 is tested
-    first; a Galois certificate may then end the scan before the sieve
-    is built: see _galois_certificate.  Each order of g lifts with its
-    status (poly.lift), and the divisors k > 1 of r are verified.  Results
-    are deterministic for a fixed seed: every candidate draws its primes
+    The preprocessed core is written once as g(x^r) with r maximal, the
+    coefficients of g are shrunk when deg g >= 2 (reduce_coefficients),
+    and only g is scanned.  In decision_only mode with r = 1 the
+    shortcuts of _decision_shortcuts run on g first; a root strip may
+    leave a composition, which is deflated once more.  Candidates come
+    from the totient sieve for deg g; each is screened by three rounds
+    of modular twisted-gcd tests and, when verify is set, settled
+    exactly.  first_order and decision_only stop at the smallest
+    confirmed order.  Every candidate up to 18 is tested first; a Galois
+    certificate may then end the scan before the sieve is built: see
+    _galois_certificate.  Each order of g lifts with its status
+    (poly.lift), and the divisors k > 1 of r are verified.  Results are
+    deterministic for a fixed seed: every candidate draws its primes
     from an isolated substream, so the outcome is independent of scan
     order.
     """
@@ -590,13 +558,24 @@ def lrs_degeneracy_orders(f, rng=None, verify=True, mode="all_orders", conjectur
         master = random.Random().getrandbits(64)
     else:
         master = int(rng)
-    aux = random.Random(master)
-    core, log = preprocess(f, decision_only=(mode == "decision_only"), rng=aux)
-    if log.settled_order is not None:
-        return _report([(log.settled_order, "verified")], log, mode, conjecture_bound)
+    core, steps = preprocess(f)
     if P.degree(core) < 1:  # a monomial input, which deflate rejects
-        return _report([], log, mode, conjecture_bound)
+        return _report([], steps, (), mode, conjecture_bound)
     g, r, _ = P.deflate(core)
+    if P.degree(g) >= 2:
+        scaled, lam = reduce_coefficients(g)
+        if scaled != g:
+            g = P.primitive_part(scaled)
+            steps.append(f"coefficients reduced, lambda {lam}")
+    if r == 1 and mode == "decision_only" and P.degree(g) >= 2:
+        settled, stripped = _decision_shortcuts(g, steps, random.Random(master))
+        if settled is not None:
+            return _report([(settled, "verified")], steps, (), mode, conjecture_bound)
+        if stripped != g:  # (x - 2)(x^3 + 3) leaves x^3 + 3
+            g, r, _ = P.deflate(stripped)
+    implied = tuple(k for k in divisors(r) if k > 1)
+    if implied:
+        steps.append(f"composed in x^{r}: orders {list(implied)} implied")
     d = P.degree(g)
 
     # first_order / decision_only stop at the first confirmed order, best.
@@ -607,13 +586,13 @@ def lrs_degeneracy_orders(f, rng=None, verify=True, mode="all_orders", conjectur
     if r > 1 and mode != "all_orders":
         best = (factorize(r)[0][0], "verified")
         if mode == "decision_only":
-            return _report([best], log, mode, conjecture_bound)
+            return _report([best], steps, implied, mode, conjecture_bound)
     found = []
     if d >= 2 and mode != "decision_only" and (best is None or best[0] > 2):
-        if P.degree(P.gcd_poly(g, _negate_arg(g))) >= 1:
+        if _has_order_2(g):
             found.append((2, "verified"))
             if mode == "first_order":
-                return _report(found, log, mode, conjecture_bound)
+                return _report(found, steps, implied, mode, conjecture_bound)
 
     # group minima increase: a group that starts at best or later is moot
     batches = _candidate_batches(d, conjecture_bound) if d >= 2 else ()
@@ -655,18 +634,18 @@ def lrs_degeneracy_orders(f, rng=None, verify=True, mode="all_orders", conjectur
         ):
             used = _galois_certificate(g, f"{master}:galois", _certificate_budget(d))
             if used is not None:
-                log.steps.append(
+                steps.append(
                     f"Galois group contains A_{d} (cycle types at {used} primes): "
                     "no order above 6"
                 )
                 break
     if best is not None:
         found = [(k, s) for k, s in found if k < best[0]] + [best]
-        return _report(found, log, mode, conjecture_bound)
+        return _report(found, steps, implied, mode, conjecture_bound)
     # an order j of g, or j = 1 for the pairs over one root of g, gives
     # the orders P.lift(j, r) of g(x^r); lifts never meet
     lifted = [(k, s) for j, s in [(1, "verified"), *found] for k in P.lift(j, r) - {1}]
-    return _report(lifted, log, mode, conjecture_bound)
+    return _report(lifted, steps, implied, mode, conjecture_bound)
 
 
 def cdm_algorithm1(f, cap=12):

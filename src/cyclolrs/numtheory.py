@@ -216,16 +216,13 @@ def inverse_totient(d: int, squarefree_only: bool = False) -> tuple[int, ...]:
     return tuple(sorted(rec(d, 0)))
 
 
-@lru_cache(maxsize=None)
-def inverse_totient_max(d: int) -> int:
-    """The largest n with phi(n) <= d.
-
-    A primorial ratio argument gives a coarse ceiling B with
-    phi(n) <= d  =>  n <= B, then an exact totient sieve up to B finds the
-    true maximum.  Self-contained; no lookup table.
-    """
+def totient_ceiling(d: int) -> int:
+    """A proven B with phi(n) <= d  =>  n <= B: n has no more primes than
+    the longest run of first primes whose p - 1 multiply to at most d,
+    and n/phi(n), the product of p/(p - 1) over them, is at most that
+    product over the run."""
     if d < 1:
-        raise ValueError("inverse_totient_max requires d >= 1")
+        raise ValueError("totient_ceiling requires d >= 1")
     num = den = 1
     p = 2
     while den * (p - 1) <= d:
@@ -234,7 +231,15 @@ def inverse_totient_max(d: int) -> int:
         p += 1
         while not is_prime(p):
             p += 1
-    bound = d * num // den
+    return d * num // den
+
+
+@lru_cache(maxsize=None)
+def inverse_totient_max(d: int) -> int:
+    """The largest n with phi(n) <= d: an exact totient sieve up to the
+    totient_ceiling.  Self-contained; no lookup table.
+    """
+    bound = totient_ceiling(d)
     phi = totient_sieve(bound)
     return max(n for n in range(1, bound + 1) if phi[n] <= d)
 

@@ -14,7 +14,7 @@ binomial, "Q4c" deflation shape, "Q4d" inflation arithmetic, and "Q4e"
 core/inflation compatibility).
 """
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from . import poly as P
 from .cyclotomic import phi_poly, phi_suffix
@@ -30,27 +30,29 @@ from .numtheory import (
 _EVAL_DEGREE_LIMIT = 36_495_360
 
 
-@dataclass(frozen=True)
-class CycloVerdict:
-    outcome: str  # "cyclotomic" | "not_cyclotomic" | "candidate_unverified"
-    index: int = None
-    method: str = None  # "prefix" | "eval"
-    checks_failed: str = None
+class CycloVerdict(
+    namedtuple(
+        "CycloVerdict", "outcome index method checks_failed", defaults=(None, None, None)
+    )
+):
+    """outcome: "cyclotomic", "not_cyclotomic" or "candidate_unverified";
+    method: "prefix" or "eval"."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.outcome == "not_cyclotomic":
             assert self.index is None
         else:
             assert self.index is not None and self.index >= 1
+        return self
 
 
-@dataclass(frozen=True)
-class QuickChecksOutcome:
-    """Either a decided verdict or a core to hand to the index search."""
-
-    verdict: CycloVerdict = None
-    core: list = None
-    inflation: int = 1
+# either a decided verdict or a core to hand to the index search
+QuickChecksOutcome = namedtuple(
+    "QuickChecksOutcome", "verdict core inflation", defaults=(None, None, 1)
+)
 
 
 def _not_cyclo(tag):
@@ -129,7 +131,7 @@ def cyclo_index_prefix(f, verify=True):
     """
     qc = quick_checks(f)
     if qc.verdict is not None:
-        return replace(qc.verdict, method="prefix")
+        return qc.verdict._replace(method="prefix")
     g, r = qc.core, qc.inflation
     dg = P.degree(g)
     target = -g[-2]
@@ -156,7 +158,7 @@ def cyclo_index_eval(f, verify=True):
     """
     qc = quick_checks(f)
     if qc.verdict is not None:
-        return replace(qc.verdict, method="eval")
+        return qc.verdict._replace(method="eval")
     g, r = qc.core, qc.inflation
     dg = P.degree(g)
     if dg >= _EVAL_DEGREE_LIMIT:

@@ -317,6 +317,23 @@ def test_closed_pipe_exits_zero_without_traceback():
     assert err == b""
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command and every fresh worker pays for what importing the CLI
+    # adds to a bare interpreter's modules; dataclasses pulls in inspect,
+    # ast, dis and tokenize for a handful of record classes
+    code = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import cyclolrs.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=120
+    )
+    added = set(res.stdout.split())
+    assert res.returncode == 0 and "cyclolrs.cli" in added, res.stderr
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["factors", "@/no/such/file.txt"]) == 2
     assert "error" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -50,11 +51,6 @@ def test_reduce_coefficients_double_pass_pinned():
 def test_reduce_coefficients_identity_when_gcd_one():
     g, lam = reduce_coefficients([7, 3, 1])
     assert g == [7, 3, 1] and lam == 1
-
-
-def test_reduce_coefficients_binomial_direct():
-    g, lam = reduce_coefficients([-32, 0, 0, 0, 0, 3])
-    assert g == [1, 0, 0, 0, 0, 1] and lam == 1
 
 
 def test_reduce_coefficients_preserves_orders():
@@ -162,29 +158,52 @@ def test_candidates_match_double_loop(d):
 # ------------------------------------------------------------ preprocessing
 
 
+MODES = ("all_orders", "first_order", "decision_only")
+
+
+def reports(f, **kw):
+    # one report per mode: (orders, log lines, orders implied by deflation)
+    out = {}
+    for mode in MODES:
+        rep = scan(f, mode=mode, **kw)
+        out[mode] = (rep.orders, rep.preprocessing_log, rep.implied_by_deflation)
+    return out
+
+
 def test_preprocess_strips_power_of_x():
-    core, log = preprocess([0, 0, 0, -2, 0, 1])
-    assert core == [1, 0, 1]  # binomial route follows the strip
-    assert "stripped x^3" in log.steps
-    assert log.implied_orders == (2,)
+    f = [0, 0, 0, -2, 0, 1]
+    assert preprocess(f) == ([-2, 0, 1], ["stripped x^3"])
+    log = ("stripped x^3", "composed in x^2: orders [2] implied")
+    assert reports(f) == dict.fromkeys(MODES, (((2, "verified"),), log, (2,)))
 
 
 def test_preprocess_records_composition_orders():
-    core, log = preprocess([1, 0, 0, 0, 1, 0, 0, 0, 1])
-    assert core == [1, 0, 0, 0, 1, 0, 0, 0, 1]  # recorded, not deflated
-    assert log.implied_orders == (2, 4)
+    f = [1, 0, 0, 0, 1, 0, 0, 0, 1]  # Phi_3 in x^4
+    assert preprocess(f) == (f, [])  # normalized only: the scan deflates
+    log = ("composed in x^4: orders [2, 4] implied",)
+    assert cdm_algorithm1(f) == [2, 3, 4, 6, 12]
+    want = tuple((k, "verified") for k in [2, 3, 4, 6, 12])
+    assert reports(f) == {
+        "all_orders": (want, log, (2, 4)),
+        "first_order": (want[:1], log, (2, 4)),
+        "decision_only": (want[:1], log, (2, 4)),
+    }
 
 
 def test_preprocess_takes_radical():
     f = P.mul([1, 1, 1], [1, 1, 1])
-    core, log = preprocess(f)
-    assert core == [1, 1, 1]
-    assert "radical taken" in log.steps
+    assert preprocess(f) == ([1, 1, 1], ["radical taken"])
+    three = ((3, "verified"),)
+    assert reports(f) == {
+        "all_orders": (three, ("radical taken",), ()),
+        "first_order": (three, ("radical taken",), ()),
+        "decision_only": (three, ("radical taken", "cyclotomic factor of index 3: order 3"), ()),
+    }
 
 
 def test_preprocess_removes_content():
-    core, log = preprocess([6, 12, 18])
-    assert core == [1, 2, 3]
+    core, steps = preprocess([6, 12, 18])
+    assert core == [1, 2, 3] and steps == ["content 6 removed"]
 
 
 def test_preprocess_rejects_zero_and_constant():
@@ -195,29 +214,46 @@ def test_preprocess_rejects_zero_and_constant():
 
 
 def test_preprocess_decision_mode_settles_even_polynomial():
-    core, log = preprocess([1, 0, 3, 0, 1], decision_only=True)
-    assert log.settled_order == 2
+    # x^4 + 3x^2 + 1 is a composition in x^2: its order 2 comes from r
+    rep = scan([1, 0, 3, 0, 1], mode="decision_only")
+    assert rep.orders == ((2, "verified"),)
+    assert rep.preprocessing_log == ("composed in x^2: orders [2] implied",)
+    assert rep.implied_by_deflation == (2,)
 
 
 def test_preprocess_decision_mode_settles_on_cyclotomic_factor():
     f = P.mul(phi_poly(5), [3, 1, 1])
-    core, log = preprocess(f, decision_only=True, rng=random.Random(4))
-    assert log.settled_order == 5
+    rep = scan(f, mode="decision_only", rng=4)
+    assert rep.orders == ((5, "verified"),)
+    assert rep.preprocessing_log == ("cyclotomic factor of index 5: order 5",)
+    assert rep.implied_by_deflation == ()
+    assert scan(f, rng=4).preprocessing_log == ()  # the shortcut is decision mode's only
 
 
 def test_preprocess_decision_mode_even_index_witness():
     # a degree-10 cyclotomic factor survives the f(-x) check only when
     # its index is twice an odd number; half the index is then an order
-    f = P.mul(phi_poly(22), [3, 1, 1])
-    core, log = preprocess(f, decision_only=True, rng=random.Random(4))
-    assert log.settled_order == 11
+    rep = scan(P.mul(phi_poly(22), [3, 1, 1]), mode="decision_only", rng=4)
+    assert rep.orders == ((11, "verified"),)
+    assert rep.preprocessing_log == ("cyclotomic factor of index 22: order 11",)
 
 
-def test_preprocess_decision_mode_strips_linear_factors():
+def test_preprocess_decision_mode_strips_linear_factors(monkeypatch):
+    seen = []
+    inner = lrs._batch_survivors
+
+    def watch(core, *args):
+        seen.append(core)
+        return inner(core, *args)
+
+    monkeypatch.setattr(lrs, "_batch_survivors", watch)
     f = P.mul(P.mul([-3, 1], [7, 5]), [3, 1, 1])
-    core, log = preprocess(f, decision_only=True, rng=random.Random(4))
-    assert log.settled_order is None
-    assert core == [3, 1, 1]
+    rep = scan(f, mode="decision_only", rng=4)
+    assert rep.orders == () and rep.implied_by_deflation == ()
+    assert rep.preprocessing_log == (
+        "linear factors removed at [Fraction(3, 1), Fraction(-7, 5)]",
+    )
+    assert seen and all(core == [3, 1, 1] for core in seen)  # the scan sees the rest
 
 
 # ------------------------------------------------------------ verification
@@ -404,40 +440,94 @@ def test_deflation_implied_orders_reported():
 
 @pytest.mark.parametrize("d", range(2, 13))
 def test_binomials_answer_from_their_deflation(d):
-    # a + b x^d reduces to the core x^d + 1, whose orders the oracle reads
-    # off the full ratio resultant; every mode answers without a scan
-    core, _ = preprocess([1] + [0] * (d - 1) + [1])
-    want = cdm_algorithm1(core)
+    # a + b x^d deflates to a linear core in x^d, so its orders are the
+    # divisors k > 1 of d, which the oracle reads off the full ratio
+    # resultant of x^d + 1; every mode answers without a scan
+    want = cdm_algorithm1([1] + [0] * (d - 1) + [1])
     rng = random.Random(d)
     for _ in range(3):
         a, b = (rng.choice((-1, 1)) * rng.randint(1, 50) for _ in range(2))
         f = [a] + [0] * (d - 1) + [b]
-        assert preprocess(f)[0] == core
+        c = math.gcd(a, b)
+        log = ((f"content {c} removed",) if c > 1 else ()) + (
+            f"composed in x^{d}: orders {want} implied",
+        )
         for verify in (True, False):
-            rep = scan(f, verify=verify)
-            assert rep.orders == tuple((k, "verified") for k in want)
-            rep = scan(f, verify=verify, mode="first_order")
-            assert rep.orders == ((want[0], "verified"),)
-            rep = scan(f, verify=verify, mode="decision_only")
-            assert rep.orders == ((want[0], "verified"),)
+            assert reports(f, verify=verify) == {
+                "all_orders": (tuple((k, "verified") for k in want), log, tuple(want)),
+                "first_order": (((want[0], "verified"),), log, tuple(want)),
+                "decision_only": (((want[0], "verified"),), log, tuple(want)),
+            }
 
 
 @pytest.mark.parametrize(
     "lin, d, c", [([-2, 1], 3, 3), ([1, 2], 5, -3), ([-3, 1], 7, 5), ([5, -1], 3, 2)]
 )
 def test_binomial_core_left_by_root_stripping(lin, d, c):
-    # decision preprocessing strips the rational root of the linear
-    # factor after the composition check, leaving x^d + c with no implied
-    # orders; the root ratios of x^d + c are still the d-th roots of unity
-    # (d is odd: an even d shares x^d + c with f(-x) and settles at 2)
+    # decision mode strips the rational root of the linear factor and
+    # deflates what is left, x^d + c, once more: the root ratios of
+    # x^d + c are the d-th roots of unity (d is odd: an even d shares
+    # x^d + c with f(-x) and settles at 2)
     f = P.mul(lin, [c] + [0] * (d - 1) + [1])
-    core, log = preprocess(f, decision_only=True, rng=random.Random(4))
-    assert core == [c] + [0] * (d - 1) + [1] and not log.implied_orders
-    want = cdm_algorithm1(core)[0]
+    want = cdm_algorithm1([c] + [0] * (d - 1) + [1])
+    root = Fraction(-lin[0], lin[1])
+    log = (f"linear factors removed at [{root!r}]", f"composed in x^{d}: orders {want} implied")
     for verify in (True, False):
         rep = scan(f, verify=verify, mode="decision_only")
-        assert rep.orders == ((want, "verified"),)
-    assert scan([-6, 3, 0, -2, 1], mode="decision_only").orders == ((3, "verified"),)
+        assert rep.orders == ((want[0], "verified"),)
+        assert rep.preprocessing_log == log and rep.implied_by_deflation == tuple(want)
+        assert scan(f, verify=verify).probable_orders() == want
+
+
+def test_root_strip_leaving_a_composition_logs_its_deflation():
+    # (x - 2)(x^3 + 3): decision mode strips x = 2 and deflates x^3 + 3
+    rep = scan([-6, 3, 0, -2, 1], mode="decision_only")
+    assert rep.orders == ((3, "verified"),)
+    assert rep.preprocessing_log == (
+        "linear factors removed at [Fraction(2, 1)]",
+        "composed in x^3: orders [3] implied",
+    )
+    assert rep.implied_by_deflation == (3,)
+    rep = scan([-6, 3, 0, -2, 1])  # no strip outside decision mode
+    assert rep.orders == ((3, "verified"),)
+    assert rep.preprocessing_log == () and rep.implied_by_deflation == ()
+
+
+def test_scaling_runs_on_the_deflated_core_only(monkeypatch):
+    # an all_orders or first_order request deflates its core once, and
+    # only a deflated g of degree >= 2 has its coefficients shrunk
+    deflate = P.deflate
+    scaled, deflated = [], []
+
+    def watch(module, name, seen):
+        inner = getattr(module, name)
+
+        def wrapper(f):
+            seen.append(f)
+            return inner(f)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    watch(lrs, "reduce_coefficients", scaled)
+    watch(P, "deflate", deflated)
+    rng = random.Random(41)
+    scalable = [3125, 1000, 300, 80, 16]  # shrinks to x^4 + 2x^3 + 3x^2 + 4x + 5
+    corpus = [[-32, 0, 0, 0, 0, 3], [3, 0, 0, 0, 0, 0, 7], P.inflate(scalable, 3)]
+    for _ in range(6):
+        corpus.append(P.inflate(random_poly(rng, rng.randint(1, 4), h=9), rng.randint(2, 4)))
+        corpus.append(random_poly(rng, rng.randint(1, 8)))
+    for f in corpus:
+        for mode in ("all_orders", "first_order"):
+            deflated.clear()
+            scan(f, mode=mode)
+            assert len(deflated) == 1, (f, mode)
+    assert scaled and all(P.degree(g) >= 2 and deflate(g)[1] == 1 for g in scaled)
+    rep = scan(P.inflate(scalable, 3))
+    assert rep.orders == ((3, "verified"),)
+    assert rep.preprocessing_log == (
+        "coefficients reduced, lambda 5/2",
+        "composed in x^3: orders [3] implied",
+    )
 
 
 def test_random_polynomials_are_typically_nondegenerate():
