@@ -1,16 +1,21 @@
 """Detection of repeated-ratio root structure: which k admit two distinct
 roots alpha, beta of f with alpha/beta a primitive k-th root of unity.
 
-The main scanner works modulo primes p = 1 + ks: whenever such a pair
-exists over C it survives reduction, so a single trivial gcd between the
-reduced image and one of its root-of-unity twists rules the order out.
-Surviving orders are only probable and can be settled exactly afterwards
-by verify_order: the twisted norm T_k(x), the product of f(zeta x) over
-the primitive k-th roots zeta, is rebuilt in Z[x] by CRT from its images
-modulo primes p = 1 (mod k) under a Landau-Mignotte bound, and a
-nontrivial gcd with f proves the order; one such prime usually refutes
-it first.  Two classical resultant-based detectors are included as slow
-reference oracles.
+The scanner asks one question modulo primes p = 1 (mod m): does f share
+a factor with the product of its twists f(zeta_k x), one per candidate k
+dividing m (_twists_share_factor)?  An order k makes every primitive
+k-th root a root ratio, since Galois conjugation carries one to all, so
+at any prime that keeps the degree each such twist shares a factor with
+f, and a trivial gcd rules out every k of the round.  One round screens
+a whole candidate group (_batch_survivors), three rounds retest each
+survivor alone (_modular_test), and one twist at one prime usually
+refutes a false order in verify_order.  Surviving orders are only
+probable until verify_order settles them: the twisted norm T_k(x), the
+product of f(zeta x) over the primitive k-th roots zeta, is rebuilt in
+Z[x] by CRT from its images modulo primes p = 1 (mod k) under a
+Landau-Mignotte bound, and a nontrivial gcd with f proves the order.
+Two classical resultant-based detectors are included as slow reference
+oracles.
 
 preprocess only normalizes f.  The scan then writes its core once as
 g(x^r), r maximal, shrinks the coefficients of g by a rational scaling,
@@ -49,7 +54,6 @@ from .numtheory import (
     find_prime_in_progression,
     inverse_totient_max,
     is_prime,
-    primitive_kth_root,
     primitive_root,
     totient_sieve,
     trial_factor,
@@ -251,10 +255,11 @@ def verify_order(f, k):
     The twisted norm T_k(x), the product of f(zeta x) over the
     primitive k-th roots zeta, vanishes at a root of f precisely when
     that root has a partner k steps of rotation away, so a nontrivial
-    gcd(f, T_k) is the verdict.  One prime p = 1 (mod k) not dividing
-    lc(f) usually refutes k first: lc(T_k) = lc(f)^phi(k) survives
-    reduction, so a trivial gcd of f with the product of its twists
-    mod f in F_p[x] makes res(f, T_k) nonzero.  Otherwise T_k is built
+    gcd(f, T_k) is the verdict.  One twist at the first prime
+    p = 1 (mod k) not dividing lc(f) usually refutes k first: were k an
+    order, f(zeta x) would share a factor with f in F_p[x] for every
+    primitive k-th root zeta mod p (see the module docstring), so a
+    trivial gcd for one of them rules k out.  Otherwise T_k is built
     exactly (_twisted_norm) and gcd_poly decides.  Order 2 shortcuts to
     gcd(f(x), f(-x)).
     """
@@ -268,8 +273,8 @@ def verify_order(f, k):
     if k == 2:
         return _has_order_2(f)
     p = next(_norm_primes(f, k))
-    fbar = [a % p for a in f]
-    if not _twists_share_factor(fbar, _primitive_powers(primitive_kth_root(p, k), k, p), p):
+    zeta = pow(primitive_root(p, k, factorize(k)), (p - 1) // k, p)
+    if not _twists_share_factor([a % p for a in f], [zeta], p):
         return False
     return P.degree(P.gcd_poly(f, _twisted_norm(f, k))) >= 1
 
@@ -285,30 +290,28 @@ def _norm_primes(f, k):
             yield p
 
 
-def _primitive_powers(zeta, k, p):
-    # zeta^j mod p for 0 < j < k coprime to k: every primitive k-th root
-    # once zeta is one
-    return [pow(zeta, j, p) for j in range(1, k) if math.gcd(j, k) == 1]
-
-
 def _twisted_norm(f, k):
     """T_k(x) = prod f(zeta x) over the primitive k-th roots of unity
     zeta, in Z[x], for k >= 3.
 
     Its image mod a prime p = 1 (mod k) is the product of the twists
-    f(z^j x) over j coprime to k, z of order k mod p, multiplied by a
-    product tree.  CRT combines images until the primes' product passes
-    twice the coefficient bound C(n, n/2) ||f||_2^phi(k), n the degree
-    of T_k: M(T_k) = M(f)^phi(k) <= ||f||_2^phi(k) (Landau), and each
+    f(z^j x) over j coprime to k, z = g^((p - 1) / k) for a generator g
+    mod p, multiplied by a product tree.  CRT combines images until the
+    primes' product passes twice the coefficient bound
+    C(n, n/2) ||f||_2^phi(k), n the degree of T_k:
+    M(T_k) = M(f)^phi(k) <= ||f||_2^phi(k) (Landau), and each
     coefficient is at most C(n, i) M(T_k).
     """
     phi = euler_phi(k)
     n = P.degree(f) * phi
     bound = 2 * math.comb(n, n // 2) * (math.isqrt(sum(a * a for a in f)) + 1) ** phi
+    coprime = [j for j in range(1, k) if math.gcd(j, k) == 1]
+    fk = factorize(k)
     images, primes, modulus = [], [], 1
     for p in _norm_primes(f, k):
         fbar = [a % p for a in f]
-        level = [_twist(fbar, z, p) for z in _primitive_powers(primitive_kth_root(p, k), k, p)]
+        z = pow(primitive_root(p, k, fk), (p - 1) // k, p)
+        level = [_twist(fbar, pow(z, j, p), p) for j in coprime]
         while len(level) > 1:  # an odd one out moves up unpaired
             pairs = zip(level[::2], level[1::2])
             level = [mul_lists_mod(a, b, p) for a, b in pairs] + level[len(level) & ~1 :]
@@ -374,39 +377,53 @@ def _candidate_batches(d, conjecture_bound):
 
 
 def _batch_survivors(core, batch, seed_key):
-    """One shared-prime rejection round over a whole candidate group.
-
-    Every group member divides the modulus, so one prime p = 1 (mod m)
-    serves them all: the twists f(zeta_k x) are multiplied together mod
-    f and a single trivial gcd rejects the entire group.  Rejection is
-    sound (a genuine order keeps its witnessing factor at any degree-
-    preserving prime); whatever survives is retested order by order.
-    """
+    """One twisted-gcd round (_twisted_round) over a whole candidate
+    group: every member divides the modulus m, so one prime serves them
+    all, and a trivial gcd rejects the entire group.  Whatever survives
+    is retested order by order."""
     m, fac, group = batch
     try:
-        p = _degree_preserving_prime(core, m, random.Random(seed_key))
+        shared = _twisted_round(core, m, fac.items(), group, random.Random(seed_key))
     except RuntimeError:
         return list(group)  # no usable prime: leave the group to per-k tests
-    fbar = [a % p for a in core]
-    pf = dict(fac)
-    for q, e in factorize((p - 1) // m):
-        pf[q] = pf.get(q, 0) + e
-    g = primitive_root(p, tuple(sorted(pf.items())))
-    zetas = [pow(g, (p - 1) // k, p) for k in group]
-    return list(group) if _twists_share_factor(fbar, zetas, p) else []
+    return list(group) if shared else []
+
+
+def _modular_test(core, k, seed_key):
+    """Three twisted-gcd rounds (_twisted_round) for one candidate order,
+    each at its own prime from one seeded stream.  One-sided: an order
+    the input carries survives every round, so one trivial gcd refutes
+    k outright."""
+    rng = random.Random(seed_key)
+    fk = factorize(k)
+    return all(_twisted_round(core, k, fk, (k,), rng) for _ in range(3))
+
+
+def _twisted_round(core, m, m_factors, ks, rng):
+    """Draw a degree-preserving prime p = 1 (mod m) from rng and test
+    whether core shares a factor mod p with its twists core(zeta x), one
+    per k in ks, zeta of order k.  Every k must divide m, whose
+    factorization m_factors yields the generator the roots come from.
+    Sound for one twist per k: an order k of core keeps a common factor
+    with every primitive k-th root twist (see the module docstring)."""
+    p = _degree_preserving_prime(core, m, rng)
+    g = primitive_root(p, m, m_factors)
+    return _twists_share_factor([a % p for a in core], [pow(g, (p - 1) // k, p) for k in ks], p)
 
 
 def _twists_share_factor(fbar, zetas, p):
     """Whether fbar shares a factor with the product of its twists
-    fbar(zeta x) over zetas, in F_p[x]: the product is taken mod fbar,
-    and one vanishing on the way settles it."""
-    inv_rev = inv_series_mod(fbar[::-1], len(fbar), p)
-    acc = None
-    for zeta in zetas:
-        tw = _twist(fbar, zeta, p)
-        acc = rem_lists_fast(tw if acc is None else mul_lists_mod(acc, tw, p), fbar, inv_rev, p)
-        if not acc:
-            return True
+    fbar(zeta x) over zetas, in F_p[x].  The twists keep the degree of
+    fbar, so a single one goes straight to the gcd; a longer product is
+    reduced mod fbar as it grows, and one vanishing on the way settles
+    it."""
+    acc = _twist(fbar, zetas[0], p)
+    if len(zetas) > 1:
+        inv_rev = inv_series_mod(fbar[::-1], len(fbar), p)
+        for zeta in zetas[1:]:
+            acc = rem_lists_fast(mul_lists_mod(acc, _twist(fbar, zeta, p), p), fbar, inv_rev, p)
+            if not acc:
+                return True
     return len(gcd_lists_mod(fbar, acc, p)) > 1
 
 
@@ -437,31 +454,6 @@ def _degree_preserving_prime(core, m, rng):
                 return p
         s_min *= 2  # same leading coefficient keeps blocking: go higher
     raise RuntimeError(f"no degree-preserving prime for modulus {m}")
-
-
-def _modular_test(core, k, seed_key):
-    """Three rounds of twisted-gcd tests for one candidate order.
-
-    Each round draws a degree-preserving prime p = 1 (mod k) and takes
-    gcd(f, f(zeta x)) in F_p[x] for every primitive k-th root zeta up
-    to inversion.  One-sided: a k that the input genuinely carries
-    always survives, because the witnessing factor maps injectively
-    whenever the degree is preserved; a trivial gcd therefore refutes
-    k outright.
-    """
-    sub = random.Random(seed_key)
-    for _ in range(3):
-        p = _degree_preserving_prime(core, k, sub)
-        fbar = [a % p for a in core]
-        zeta = primitive_kth_root(p, k)
-        zj = 1
-        for j in range(1, k // 2 + 1):
-            zj = zj * zeta % p
-            if math.gcd(j, k) != 1:
-                continue
-            if len(gcd_lists_mod(fbar, _twist(fbar, zj, p), p)) == 1:
-                return False
-    return True
 
 
 def _galois_certificate(core, seed_key, budget):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections.abc import Iterable
 from functools import lru_cache
 
 # Deterministic Miller-Rabin witness set, proven complete for n < 3.3e24.
@@ -324,40 +325,19 @@ def crt_symmetric(residues, primes) -> list[int]:
     return out
 
 
-def primitive_root(
-    p: int, factors: tuple[tuple[int, int], ...] | None = None
-) -> int:
-    """The smallest generator of the multiplicative group mod p.
+def primitive_root(p: int, m: int, m_factors: Iterable[tuple[int, int]]) -> int:
+    """The smallest generator g of the multiplicative group mod a prime p.
 
-    ``factors``, when supplied, must be the factorization of p - 1 as
-    (prime, exponent) pairs; passing it skips factoring p - 1 again.
+    m must divide p - 1 and m_factors be its factorization as (prime,
+    exponent) pairs, so only the cofactor (p - 1) / m is factored.  For
+    every k dividing m, g^((p - 1) / k) then has order exactly k.
     """
+    if (p - 1) % m:
+        raise ValueError(f"{m} does not divide {p} - 1")
     if p == 2:
         return 1
-    if factors is None:
-        factors = factorize(p - 1)
-    qs = [q for q, _ in factors]
+    qs = {q for q, _ in m_factors} | {q for q, _ in factorize((p - 1) // m)}
     g = 2
     while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
         g += 1
     return g
-
-
-def primitive_kth_root(p: int, k: int) -> int:
-    """An element of order exactly k in the multiplicative group mod p.
-
-    Requires k | p - 1.  Found as g^((p-1)/k) for the smallest primitive
-    root g, then the order is confirmed via the prime factors of k.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if (p - 1) % k:
-        raise ValueError(f"{k} does not divide {p} - 1")
-    if k == 1:
-        return 1
-    g = primitive_root(p)
-    z = pow(g, (p - 1) // k, p)
-    for q, _ in factorize(k):
-        if pow(z, k // q, p) == 1:
-            raise RuntimeError("order verification failed; p is not prime?")
-    return z

@@ -49,3 +49,22 @@ def test_every_top_level_definition_is_used():
             ):
                 unused.append(f"{module}:{node.name}")
     assert not unused, f"no library caller: {unused}"
+
+
+def _users(tree, name):
+    # top-level functions of a module that mention name outside their own
+    # definition
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name != name and name in _uses(node, None)
+    }
+
+
+def test_lrs_has_one_twisted_gcd_test():
+    # every twisted gcd of the scan goes through _twists_share_factor;
+    # _twisted_norm multiplies twists without a gcd, and the only other
+    # gcd is the certificate's discriminant check
+    tree = ast.parse((SRC / "lrs.py").read_text())
+    assert _users(tree, "_twist") == {"_twists_share_factor", "_twisted_norm"}
+    assert _users(tree, "gcd_lists_mod") == {"_twists_share_factor", "_galois_certificate"}

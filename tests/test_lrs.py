@@ -23,9 +23,11 @@ from cyclolrs.lrs import (
     reduce_coefficients,
     verify_order,
 )
+from cyclolrs.modpoly import gcd_lists_mod
 from cyclolrs.numtheory import (
     divisors,
     euler_phi,
+    factorize,
     find_prime_in_progression,
     inverse_totient_max,
     moebius,
@@ -336,6 +338,77 @@ def test_verify_order_skips_primes_dividing_the_leading_coefficient(k):
     if k < 100:
         scaled = [a * p**j for j, a in enumerate(phi_poly(k))]  # Phi_k(p x)
         assert verify_order(scaled, k if k % 2 else k // 2) is True
+
+
+# --------------------------------------------------------- per-order test
+
+
+def order_corpus():
+    """Small square-free inputs with known orders: scaled cyclotomics
+    times a linear factor, scaled cyclotomic products, g(x) g(-x) h and
+    g rev(g) for random g, and random polynomials."""
+    rng = random.Random(1414)
+    out = []
+    for k in (3, 4, 5, 6, 7, 8, 9, 10, 12):
+        lin = [rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)]
+        out.append(P.mul(scaled_phi(k, rng.randint(1, 3)), lin))
+    for a, b in ((3, 4), (3, 5), (4, 5), (5, 6), (3, 7), (5, 8), (7, 12), (9, 10)):
+        lam = rng.randint(1, 3)
+        out.append(P.mul(scaled_phi(a, lam), scaled_phi(b, lam)))
+    for _ in range(6):
+        g = random_poly(rng, rng.randint(1, 3), h=9)
+        out.append(P.mul(P.mul(g, negate_arg(g)), random_poly(rng, 2, h=9)))
+        out.append(P.mul(g, P.reverse(g)))
+    out += [random_poly(rng, rng.randint(2, 8), h=30) for _ in range(8)]
+    cores = [preprocess(f)[0] for f in out]
+    return [f for f in cores if P.degree(f) >= 2]
+
+
+def test_true_orders_survive_the_per_order_test():
+    corpus = order_corpus()
+    assert len(corpus) >= 30
+    seen = 0
+    for f in corpus:
+        for k in cdm_algorithm1(f):
+            for seed in range(4):
+                assert lrs._modular_test(f, k, f"{seed}:{k}"), (f, k, seed)
+            seen += 1
+    assert seen >= 30
+
+
+def primitive_kth_root_by_search(p, k):
+    # h^((p - 1) / k) for the first h that gives exact order k
+    qs = [q for q, _ in factorize(k)]
+    roots = (pow(h, (p - 1) // k, p) for h in range(2, p))
+    return next(z for z in roots if all(pow(z, k // q, p) != 1 for q in qs))
+
+
+def pairwise_modular_test(core, k, seed_key):
+    """The per-order test with every twist: at each of the three primes
+    _modular_test draws, gcd(f, f(zeta x)) for every primitive k-th root
+    zeta up to inversion, any trivial one refuting k.  The reference
+    for its one twist per round."""
+    rng = random.Random(seed_key)
+    for _ in range(3):
+        p = lrs._degree_preserving_prime(core, k, rng)
+        fbar = [a % p for a in core]
+        zeta = primitive_kth_root_by_search(p, k)
+        for j in range(1, k // 2 + 1):
+            if math.gcd(j, k) == 1:
+                if len(gcd_lists_mod(fbar, lrs._twist(fbar, pow(zeta, j, p), p), p)) == 1:
+                    return False
+    return True
+
+
+def test_one_twist_per_round_agrees_with_every_twist():
+    verdicts = []
+    for i, f in enumerate(order_corpus()):
+        for k in range(2, 31):
+            key = f"{i}:{k}"
+            got = lrs._modular_test(f, k, key)
+            assert got == pairwise_modular_test(f, k, key), (f, k)
+            verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
 
 
 # ------------------------------------------------------------- full scans

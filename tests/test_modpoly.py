@@ -17,7 +17,7 @@ from cyclolrs.modpoly import (
     mul_lists_mod,
     rem_lists_fast,
 )
-from cyclolrs.numtheory import primitive_kth_root
+from cyclolrs.numtheory import factorize, primitive_root
 
 
 def monic(a, p):
@@ -80,7 +80,7 @@ def test_degenerate_pair_visible_at_every_primitive_root():
     p = 31
     fbar = [a % p for a in f]
     assert fbar[-1] != 0
-    z = primitive_kth_root(p, 15)
+    z = pow(primitive_root(p, 15, factorize(15)), (p - 1) // 15, p)
     for j in range(1, 15):
         if math.gcd(j, 15) != 1:
             continue

@@ -15,7 +15,7 @@ from cyclolrs.numtheory import (
     inverse_totient_max,
     is_prime,
     moebius,
-    primitive_kth_root,
+    primitive_root,
     radical_int,
     saturate,
     totient_sieve,
@@ -177,23 +177,52 @@ def test_find_prime_randomized_contract():
         assert again == p
 
 
-def test_primitive_kth_root_pinned():
-    assert primitive_kth_root(13, 4) == 8
-    assert primitive_kth_root(7, 1) == 1
-    assert primitive_kth_root(13, 3) in (3, 9)
+def _small_root_primes():
+    # primes p = 1 + m*s below 10^4, up to three for each m in 2..100
+    for m in range(2, 101):
+        for p in sorted({find_prime_in_progression(m, min_cofactor=c) for c in (1, 10, 40)}):
+            if p < 10**4:
+                yield m, p
+
+
+def brute_order(z, p):
+    x, n = z, 1
+    while x != 1:
+        x = x * z % p
+        n += 1
+    return n
+
+
+def test_primitive_root_pinned():
+    g = primitive_root(13, 4, factorize(4))
+    assert g == 2 and pow(g, 12 // 4, 13) == 8  # 8 has order 4 mod 13
+    assert primitive_root(7, 1, ()) == 3
     with pytest.raises(ValueError):
-        primitive_kth_root(13, 5)
+        primitive_root(13, 5, factorize(5))
 
 
-def test_primitive_kth_root_orders_to_100():
-    for k in range(2, 101):
-        p = find_prime_in_progression(k, min_cofactor=2)
-        z = primitive_kth_root(p, k)
-        assert pow(z, k, p) == 1
-        x = z
-        for j in range(1, k):
-            assert x != 1, (k, j)
-            x = x * z % p
+def test_primitive_root_generates_the_group_below_1e4():
+    seen = 0
+    for m, p in _small_root_primes():
+        g = primitive_root(p, m, factorize(m))
+        assert brute_order(g, p) == p - 1, (m, p)
+        assert all(brute_order(h, p) < p - 1 for h in range(2, g)), (m, p)  # the smallest
+        for k in divisors(m):
+            assert brute_order(pow(g, (p - 1) // k, p), p) == k, (m, p, k)
+        seen += 1
+    assert seen > 200
+
+
+def test_primitive_root_gives_exact_orders_at_large_primes():
+    # word-size primes as the per-order rounds and the verifier draw,
+    # and the lcm of 3..18 as the first candidate group's modulus
+    for m in [*range(2, 101), math.lcm(*range(3, 19))]:
+        p = find_prime_in_progression(m, min_cofactor=64, min_value=1 << 25)
+        g = primitive_root(p, m, factorize(m))
+        for k in divisors(m):
+            z = pow(g, (p - 1) // k, p)
+            assert pow(z, k, p) == 1
+            assert all(pow(z, k // q, p) != 1 for q, _ in factorize(k)), (m, p, k)
 
 
 def test_word_primes_descend_through_every_prime_below_2_30():
