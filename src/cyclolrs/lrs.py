@@ -14,6 +14,9 @@ probable until verify_order settles them: the twisted norm T_k(x), the
 product of f(zeta x) over the primitive k-th roots zeta, is rebuilt in
 Z[x] by CRT from its images modulo primes p = 1 (mod k) under a
 Landau-Mignotte bound, and a nontrivial gcd with f proves the order.
+Every prime of every modular test, the certificate's included, comes
+from one rule (_primes): p = 1 (mod m) above 2^25, not dividing the
+leading coefficient.
 Two classical resultant-based detectors are included as slow reference
 oracles.
 
@@ -52,9 +55,9 @@ from .numtheory import (
     euler_phi,
     factorize,
     find_prime_in_progression,
-    inverse_totient_max,
     is_prime,
     primitive_root,
+    totient_ceiling,
     totient_sieve,
     trial_factor,
 )
@@ -129,13 +132,9 @@ def lrs_order_candidates(d, conjecture_bound=False):
     for t in range(1, top + 1):
         divides_entry[t] = 1 in in_sieve[t::t]
     cap = d if conjecture_bound else top
-    kmax = inverse_totient_max(top)
-    phi = totient_sieve(kmax)
-    orders = tuple(
-        k
-        for k in range(3, kmax + 1)
-        if phi[k] <= cap and phi[k] <= top and divides_entry[phi[k]]
-    )
+    limit = totient_ceiling(cap)  # phi(k) <= cap forces k <= limit
+    phi = totient_sieve(limit)
+    orders = tuple(k for k in range(3, limit + 1) if phi[k] <= cap and divides_entry[phi[k]])
     assert list(orders) == sorted(set(orders)) and all(k >= 3 for k in orders)
     return CandidateOrders(orders=orders)
 
@@ -255,8 +254,8 @@ def verify_order(f, k):
     The twisted norm T_k(x), the product of f(zeta x) over the
     primitive k-th roots zeta, vanishes at a root of f precisely when
     that root has a partner k steps of rotation away, so a nontrivial
-    gcd(f, T_k) is the verdict.  One twist at the first prime
-    p = 1 (mod k) not dividing lc(f) usually refutes k first: were k an
+    gcd(f, T_k) is the verdict.  One twisted-gcd round at the first
+    ascending prime of _primes(f, k) usually refutes k first: were k an
     order, f(zeta x) would share a factor with f in F_p[x] for every
     primitive k-th root zeta mod p (see the module docstring), so a
     trivial gcd for one of them rules k out.  Otherwise T_k is built
@@ -272,32 +271,19 @@ def verify_order(f, k):
         raise ValueError("input must be square-free")
     if k == 2:
         return _has_order_2(f)
-    p = next(_norm_primes(f, k))
-    zeta = pow(primitive_root(p, k, factorize(k)), (p - 1) // k, p)
-    if not _twists_share_factor([a % p for a in f], [zeta], p):
+    if not _twisted_round(f, k, factorize(k), (k,), None):
         return False
     return P.degree(P.gcd_poly(f, _twisted_norm(f, k))) >= 1
-
-
-def _norm_primes(f, k):
-    # ascending primes p = 1 (mod k) above 2^25 not dividing lc(f): the
-    # twists keep the degree, and near 2^25 products of degree up to
-    # 4000 fit modpoly's 8-byte slots
-    p = 1 << 25
-    while True:
-        p = find_prime_in_progression(k, min_value=p)
-        if f[-1] % p:
-            yield p
 
 
 def _twisted_norm(f, k):
     """T_k(x) = prod f(zeta x) over the primitive k-th roots of unity
     zeta, in Z[x], for k >= 3.
 
-    Its image mod a prime p = 1 (mod k) is the product of the twists
-    f(z^j x) over j coprime to k, z = g^((p - 1) / k) for a generator g
-    mod p, multiplied by a product tree.  CRT combines images until the
-    primes' product passes twice the coefficient bound
+    Its image mod each ascending prime of _primes(f, k) is the product
+    of the twists f(z^j x) over j coprime to k, z = g^((p - 1) / k) for a
+    generator g mod p, multiplied by a product tree.  CRT combines images
+    until the primes' product passes twice the coefficient bound
     C(n, n/2) ||f||_2^phi(k), n the degree of T_k:
     M(T_k) = M(f)^phi(k) <= ||f||_2^phi(k) (Landau), and each
     coefficient is at most C(n, i) M(T_k).
@@ -308,7 +294,7 @@ def _twisted_norm(f, k):
     coprime = [j for j in range(1, k) if math.gcd(j, k) == 1]
     fk = factorize(k)
     images, primes, modulus = [], [], 1
-    for p in _norm_primes(f, k):
+    for p in _primes(f, k):
         fbar = [a % p for a in f]
         z = pow(primitive_root(p, k, fk), (p - 1) // k, p)
         level = [_twist(fbar, pow(z, j, p), p) for j in coprime]
@@ -382,10 +368,7 @@ def _batch_survivors(core, batch, seed_key):
     all, and a trivial gcd rejects the entire group.  Whatever survives
     is retested order by order."""
     m, fac, group = batch
-    try:
-        shared = _twisted_round(core, m, fac.items(), group, random.Random(seed_key))
-    except RuntimeError:
-        return list(group)  # no usable prime: leave the group to per-k tests
+    shared = _twisted_round(core, m, fac.items(), group, random.Random(seed_key))
     return list(group) if shared else []
 
 
@@ -400,13 +383,14 @@ def _modular_test(core, k, seed_key):
 
 
 def _twisted_round(core, m, m_factors, ks, rng):
-    """Draw a degree-preserving prime p = 1 (mod m) from rng and test
-    whether core shares a factor mod p with its twists core(zeta x), one
-    per k in ks, zeta of order k.  Every k must divide m, whose
-    factorization m_factors yields the generator the roots come from.
-    Sound for one twist per k: an order k of core keeps a common factor
-    with every primitive k-th root twist (see the module docstring)."""
-    p = _degree_preserving_prime(core, m, rng)
+    """Take the next prime p of _primes(core, m, rng), a seeded draw or,
+    without rng, the first ascending one, and test whether core shares a
+    factor mod p with its twists core(zeta x), one per k in ks, zeta of
+    order k.  Every k must divide m, whose factorization m_factors
+    yields the generator the roots come from.  Sound for one twist per
+    k: an order k of core keeps a common factor with every primitive
+    k-th root twist (see the module docstring)."""
+    p = next(_primes(core, m, rng))
     g = primitive_root(p, m, m_factors)
     return _twists_share_factor([a % p for a in core], [pow(g, (p - 1) // k, p) for k in ks], p)
 
@@ -436,24 +420,23 @@ def _twist(fbar, zeta, p):
     return out
 
 
-def _degree_preserving_prime(core, m, rng):
-    """A seeded prime p = 1 (mod m) above 8 deg(core)^2 that does not
-    divide the leading coefficient of core, so reduction mod p keeps the
-    degree.  Serves a single order k = m and a batch modulus m alike.
-    The least cofactor (p - 1) / m starts at 64 and doubles after every
-    25 draws in a row that divide the leading coefficient."""
-    d = P.degree(core)
-    floor = 8 * d * d
-    s_min = 64
-    for _ in range(6):
-        for _ in range(25):
-            p = find_prime_in_progression(
-                m, min_cofactor=s_min, min_value=floor + 1, rng=rng
-            )
-            if core[-1] % p:
-                return p
-        s_min *= 2  # same leading coefficient keeps blocking: go higher
-    raise RuntimeError(f"no degree-preserving prime for modulus {m}")
+def _primes(core, m, rng=None):
+    """The primes of every modular test: p = 1 (mod m) above 2^25 that do
+    not divide the leading coefficient of core.  Reduction mod p then
+    keeps the degree and F_p holds the m-th roots of unity, all that the
+    one-sided twisted-gcd filter needs.  Near 2^25, where every small m
+    draws, residues stay single-digit ints and packed products below
+    degree 4000 fit modpoly's 8-byte slots.  Without rng the primes
+    ascend, as CRT needs distinct ones; with rng each is an independent
+    seeded draw.  A prime dividing the leading coefficient moves the
+    search above it, so every draw ends."""
+    floor = p = 1 << 25
+    while True:
+        p = find_prime_in_progression(m, min_value=p, rng=rng)
+        if core[-1] % p:
+            yield p
+            if rng is not None:
+                p = floor
 
 
 def _galois_certificate(core, seed_key, budget):
@@ -468,23 +451,17 @@ def _galois_certificate(core, seed_key, budget):
     d/2 < q <= d - 3 is primitive and contains A_d (a cycle type with
     such a q has a power that is a q-cycle).  Returns the number of
     cycle types used, or None once budget primes are drawn, or half of
-    them without proving irreducibility.  The primes come from an
-    isolated substream.
+    them without proving irreducibility.  The primes are seeded draws
+    of _primes(core, 2) from an isolated substream.
     """
     d = P.degree(core)
     jordan = {q for q in range(d // 2 + 1, d - 2) if is_prime(q)}
     if not jordan:
         return None  # d < 8
-    sub = random.Random(seed_key)
     common = (1 << d) - 2  # subset sums 1..d-1 shared by every cycle type
     cycle = False
     used = 0
-    for drawn in range(1, budget + 1):
-        # primes near 2^25.5: residues stay single-digit ints, and below
-        # degree 4000 packed products fit modpoly's 8-byte slots
-        p = find_prime_in_progression(2, min_value=1 << 25, rng=sub)
-        if core[-1] % p == 0:
-            continue
+    for drawn, p in zip(range(1, budget + 1), _primes(core, 2, random.Random(seed_key))):
         fbar = [a % p for a in core]
         if len(gcd_lists_mod(fbar, [j * a % p for j, a in enumerate(fbar)][1:], p)) > 1:
             continue  # p divides the discriminant

@@ -115,10 +115,14 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
     Trial division up to 10^4, then Pollard-Brent rho on the cofactor.  Sized
     for cofactors up to roughly 128 bits, which covers every integer this
-    package needs to factor completely.
+    package needs to factor completely.  Cached: one-off n go to _factor_uncached.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
+    return _factor_uncached(n)
+
+
+def _factor_uncached(n: int) -> tuple[tuple[int, int], ...]:
     fac, rest = trial_factor(n, 10_000)
     if rest > 1:
         rng = random.Random(0xF4C702)
@@ -235,16 +239,6 @@ def totient_ceiling(d: int) -> int:
     return d * num // den
 
 
-@lru_cache(maxsize=None)
-def inverse_totient_max(d: int) -> int:
-    """The largest n with phi(n) <= d: an exact totient sieve up to the
-    totient_ceiling.  Self-contained; no lookup table.
-    """
-    bound = totient_ceiling(d)
-    phi = totient_sieve(bound)
-    return max(n for n in range(1, bound + 1) if phi[n] <= d)
-
-
 def saturate(n: int, g: int) -> int:
     """Largest divisor of n coprime to g; saturate(0, g) = 0 by convention."""
     if n < 0 or g < 1:
@@ -264,21 +258,18 @@ _PRIME_SEARCH_STEPS = 1_000_000
 
 
 def find_prime_in_progression(
-    k: int,
-    min_cofactor: int = 1,
-    min_value: int = 0,
-    rng: random.Random | None = None,
+    k: int, min_value: int = 0, rng: random.Random | None = None
 ) -> int:
-    """A prime p = 1 + k*s with s >= min_cofactor and p > min_value.
+    """A prime p = 1 + k*s with s >= 1 and p > min_value.
 
-    Without an rng the smallest admissible prime is returned.  With one, the
+    Without an rng the smallest such prime is returned.  With one, the
     starting s is pushed up by a seeded offset and the scan proceeds upward,
     so distinct seeds land on distinct primes while a fixed seed reproduces
     the same choice.
     """
     if k < 2:
         raise ValueError("progression modulus must be >= 2")
-    s = max(min_cofactor, (min_value - 1) // k + 1)
+    s = max(1, (min_value - 1) // k + 1)
     if rng is not None:
         s += rng.randrange(s + 64)
     for _ in range(_PRIME_SEARCH_STEPS):
@@ -336,7 +327,8 @@ def primitive_root(p: int, m: int, m_factors: Iterable[tuple[int, int]]) -> int:
         raise ValueError(f"{m} does not divide {p} - 1")
     if p == 2:
         return 1
-    qs = {q for q, _ in m_factors} | {q for q, _ in factorize((p - 1) // m)}
+    # a drawn prime's cofactor seldom recurs, so it stays out of the cache
+    qs = {q for q, _ in m_factors} | {q for q, _ in _factor_uncached((p - 1) // m)}
     g = 2
     while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
         g += 1

@@ -19,13 +19,9 @@ from cyclolrs.lrs import (
     lrs_order_candidates,
     preprocess,
 )
-from cyclolrs.numtheory import (
-    divisors,
-    euler_phi,
-    inverse_totient_max,
-    moebius,
-)
+from cyclolrs.numtheory import divisors, euler_phi, moebius
 from cyclolrs.recognize import cyclo_index
+from oracles import inverse_totient_max
 
 SEED = 20260822
 

@@ -68,3 +68,10 @@ def test_lrs_has_one_twisted_gcd_test():
     tree = ast.parse((SRC / "lrs.py").read_text())
     assert _users(tree, "_twist") == {"_twists_share_factor", "_twisted_norm"}
     assert _users(tree, "gcd_lists_mod") == {"_twists_share_factor", "_galois_certificate"}
+
+
+def test_lrs_has_one_prime_source():
+    # every modular test of the scan, the verifier and the certificate
+    # draws its primes from _primes
+    tree = ast.parse((SRC / "lrs.py").read_text())
+    assert _users(tree, "find_prime_in_progression") == {"_primes"}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from cyclolrs import lrs
 from cyclolrs import poly as P
+from cyclolrs.cli import main
 from cyclolrs.cyclotomic import cyclotomic_product, phi_poly
 from cyclolrs.lrs import (
     CandidateOrders,
@@ -29,10 +31,11 @@ from cyclolrs.numtheory import (
     euler_phi,
     factorize,
     find_prime_in_progression,
-    inverse_totient_max,
+    is_prime,
     moebius,
     totient_sieve,
 )
+from oracles import inverse_totient_max
 
 
 def negate_arg(f):
@@ -390,7 +393,7 @@ def pairwise_modular_test(core, k, seed_key):
     for its one twist per round."""
     rng = random.Random(seed_key)
     for _ in range(3):
-        p = lrs._degree_preserving_prime(core, k, rng)
+        p = next(lrs._primes(core, k, rng))
         fbar = [a % p for a in core]
         zeta = primitive_kth_root_by_search(p, k)
         for j in range(1, k // 2 + 1):
@@ -409,6 +412,46 @@ def test_one_twist_per_round_agrees_with_every_twist():
             assert got == pairwise_modular_test(f, k, key), (f, k)
             verdicts.append(got)
     assert any(verdicts) and not all(verdicts)
+
+
+# ------------------------------------------------------------ prime stream
+
+
+def test_ascending_primes_skip_every_divisor_of_the_leading_coefficient():
+    for m in (2, 3, 12, 720720):
+        first = list(itertools.islice(lrs._primes([1, 1], m), 6))
+        assert first == sorted(set(first)) and first[0] > 1 << 25
+        assert all(is_prime(p) and p % m == 1 for p in first)
+        # an lc built from the stream's own first three primes
+        core = [1, 0, math.prod(first[:3])]
+        assert list(itertools.islice(lrs._primes(core, m), 3)) == first[3:]
+
+
+def test_seeded_primes_are_reproducible_independent_draws():
+    draws = list(itertools.islice(lrs._primes([1, 1], 12, random.Random(5)), 8))
+    assert draws == list(itertools.islice(lrs._primes([1, 1], 12, random.Random(5)), 8))
+    assert all(is_prime(p) and p % 12 == 1 and p > 1 << 25 for p in draws)
+    assert draws != sorted(draws)  # each draw starts again from 2^25
+
+
+def test_seeded_draw_landing_on_the_leading_coefficient_moves_above_it():
+    p = next(lrs._primes([1, 1], 12, random.Random(5)))
+    q = next(lrs._primes([1, 0, 7 * p], 12, random.Random(5)))
+    assert q > p and is_prime(q) and q % 12 == 1
+
+
+def test_leading_coefficient_holding_every_small_prime_1_mod_3(tmp_path):
+    # (x^2 + x + 1)(L x^2 + 1), L the product of the primes p = 1 (mod 3)
+    # below 12500 (8806 bits): no such p keeps the degree, so the test of
+    # order 3 needs a prime beyond them all
+    lam = math.prod(p for p in range(7, 12_500, 6) if is_prime(p))
+    assert lam.bit_length() == 8806
+    f = P.mul([1, 1, 1], [1, 0, lam])
+    rep = lrs_degeneracy_orders(f, rng=1, verify=True)
+    assert rep.orders == ((2, "verified"), (3, "verified"))
+    path = tmp_path / "f.txt"
+    path.write_text(" ".join(map(str, f)) + "\n")
+    assert main(["lrs", f"@{path}", "--verify"]) == 0
 
 
 # ------------------------------------------------------------- full scans

@@ -12,7 +12,6 @@ from cyclolrs.numtheory import (
     factorize,
     find_prime_in_progression,
     inverse_totient,
-    inverse_totient_max,
     is_prime,
     moebius,
     primitive_root,
@@ -21,6 +20,7 @@ from cyclolrs.numtheory import (
     totient_sieve,
     word_prime,
 )
+from oracles import inverse_totient_max
 
 
 def brute_phi(n):
@@ -158,29 +158,28 @@ def test_is_prime_against_sieve():
 
 
 def test_find_prime_pinned():
-    assert find_prime_in_progression(10, min_cofactor=64) == 641
-    assert find_prime_in_progression(2, min_cofactor=1, min_value=2) == 3
-    assert find_prime_in_progression(7, min_cofactor=64) == 449
+    assert find_prime_in_progression(10, min_value=640) == 641
+    assert find_prime_in_progression(2, min_value=2) == 3
+    assert find_prime_in_progression(7, min_value=448) == 449
 
 
 def test_find_prime_randomized_contract():
     for seed in range(6):
         rng = random.Random(seed)
-        p = find_prime_in_progression(12, min_cofactor=64, min_value=5000, rng=rng)
+        p = find_prime_in_progression(12, min_value=5000, rng=rng)
         assert is_prime(p)
         assert p % 12 == 1
         assert (p - 1) // 12 >= 64
         assert p > 5000
-        again = find_prime_in_progression(
-            12, min_cofactor=64, min_value=5000, rng=random.Random(seed)
-        )
+        again = find_prime_in_progression(12, min_value=5000, rng=random.Random(seed))
         assert again == p
 
 
 def _small_root_primes():
-    # primes p = 1 + m*s below 10^4, up to three for each m in 2..100
+    # primes p = 1 + m*s below 10^4, up to three for each m in 2..100:
+    # the least ones with s >= 1, 10 and 40
     for m in range(2, 101):
-        for p in sorted({find_prime_in_progression(m, min_cofactor=c) for c in (1, 10, 40)}):
+        for p in sorted({find_prime_in_progression(m, min_value=c * m) for c in (1, 10, 40)}):
             if p < 10**4:
                 yield m, p
 
@@ -217,12 +216,24 @@ def test_primitive_root_gives_exact_orders_at_large_primes():
     # word-size primes as the per-order rounds and the verifier draw,
     # and the lcm of 3..18 as the first candidate group's modulus
     for m in [*range(2, 101), math.lcm(*range(3, 19))]:
-        p = find_prime_in_progression(m, min_cofactor=64, min_value=1 << 25)
+        p = find_prime_in_progression(m, min_value=max(1 << 25, 64 * m))
         g = primitive_root(p, m, factorize(m))
         for k in divisors(m):
             z = pow(g, (p - 1) // k, p)
             assert pow(z, k, p) == 1
             assert all(pow(z, k // q, p) != 1 for q, _ in factorize(k)), (m, p, k)
+
+
+def test_primitive_root_leaves_the_factorize_cache_alone():
+    # seeded primes give one-off cofactors (p - 1) / m: caching them would
+    # grow the cache by one entry per draw for the life of the process
+    m_factors = factorize(12)
+    before = factorize.cache_info().currsize
+    rng = random.Random(3)
+    for _ in range(20):
+        p = find_prime_in_progression(12, min_value=1 << 25, rng=rng)
+        primitive_root(p, 12, m_factors)
+    assert factorize.cache_info().currsize == before
 
 
 def test_word_primes_descend_through_every_prime_below_2_30():
