@@ -17,8 +17,8 @@ Landau-Mignotte bound, and a nontrivial gcd with f proves the order.
 Every prime of every modular test, the certificate's included, comes
 from one rule (_primes): p = 1 (mod m) above 2^25, not dividing the
 leading coefficient.
-Two classical resultant-based detectors are included as slow reference
-oracles.
+One classical resultant-based detector, cdm_algorithm1, stays here as a
+slow reference oracle.
 
 preprocess only normalizes f.  The scan then writes its core once as
 g(x^r), r maximal, shrinks the coefficients of g by a rational scaling,
@@ -87,9 +87,6 @@ class OrderReport(
 
     def verified_orders(self):
         return [k for k, s in self.orders if s == "verified"]
-
-    def probable_orders(self):
-        return [k for k, s in self.orders if s != "refuted"]
 
 
 def _negate_arg(f):
@@ -653,36 +650,3 @@ def cdm_algorithm1(f, cap=12):
     orders = [2] if 2 in rep.verified_low else []
     orders += [k for k in rep.candidates if rep.verified.get(k)]
     return sorted(orders)
-
-
-def cdm_algorithm2_first_order(f, k_max=None):
-    """Reference oracle for the smallest order: walk k = 3, 4, ... and
-    return the first whose Graeffe transform is not square-free.
-
-    G_k(f) collapses two roots exactly when some order divides k, so
-    with order 2 excluded up front the first hit is the minimum order.
-    Composite steps reuse the transform of k over its smallest prime.
-    """
-    f = P.canonical(f)
-    d = P.degree(f)
-    if d < 2 or not P.is_squarefree(f):
-        raise ValueError("input must be square-free of degree >= 2")
-    if P.degree(P.gcd_poly(f, _negate_arg(f))) >= 1:
-        raise ValueError("order 2 must be excluded before this scan")
-    top = 5 * d * d
-    if k_max is not None:
-        top = min(top, k_max)
-    cache = {1: f}
-
-    def transform(k):
-        if k not in cache:
-            spf = 2
-            while k % spf:
-                spf += 1
-            cache[k] = P.graeffe(transform(k // spf), spf)
-        return cache[k]
-
-    for k in range(3, top + 1):
-        if not P.is_squarefree(transform(k)):
-            return k
-    return None

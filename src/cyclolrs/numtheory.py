@@ -189,11 +189,12 @@ def totient_sieve(limit: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def inverse_totient(d: int, squarefree_only: bool = False) -> tuple[int, ...]:
-    """All n with phi(n) = d, ascending.  Empty when d has no preimage.
+def inverse_totient(d: int) -> tuple[int, ...]:
+    """All square-free n with phi(n) = d, ascending.  Empty when d has no
+    such preimage.
 
-    Recursive tree search over prime powers q^j with (q - 1) | d, primes
-    ascending so every preimage is produced exactly once.
+    Recursive tree search over primes q with (q - 1) | d, ascending so
+    every preimage is produced exactly once.
     """
     if d < 1:
         raise ValueError("inverse_totient requires d >= 1")
@@ -208,15 +209,8 @@ def inverse_totient(d: int, squarefree_only: bool = False) -> tuple[int, ...]:
             q = qs[j]
             if rem % (q - 1):
                 continue
-            r2 = rem // (q - 1)
-            pw = q
-            while True:
-                for tail in rec(r2, j + 1):
-                    yield pw * tail
-                if squarefree_only or r2 % q:
-                    break
-                r2 //= q
-                pw *= q
+            for tail in rec(rem // (q - 1), j + 1):
+                yield q * tail
 
     return tuple(sorted(rec(d, 0)))
 

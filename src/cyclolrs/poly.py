@@ -8,7 +8,7 @@ machine-word lane is gcd_poly: it works from images modulo word primes on the
 modpoly kernels and proves its answer by exact division.
 
 Sign conventions, fixed once and tested:
-  * gcd_poly, radical_poly, primitive_part, graeffe return positive leading
+  * gcd_poly, radical_poly, primitive_part return positive leading
     coefficients.
   * resultant(f, g) is lc(g)^deg(f) times the product of f over the roots of
     g, so resultant(x - 2, x - 5) = 3.
@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import count
 
 from .modpoly import gcd_lists_mod
-from .numtheory import crt_symmetric, factorize, word_prime
+from .numtheory import crt_symmetric, word_prime
 
 
 def canonical(f) -> list[int]:
@@ -63,12 +63,6 @@ def mul(f, g) -> list[int]:
             for j, b in enumerate(g):
                 out[i + j] += a * b
     return canonical(out)
-
-
-def mul_scalar(f, c: int) -> list[int]:
-    if c == 0:
-        return []
-    return [c * a for a in f]
 
 
 def eval_int(f, x: int) -> int:
@@ -366,69 +360,6 @@ def _interpolate_int(xs, ys) -> list[int]:
             raise ArithmeticError("interpolation produced a non-integer")
         out.append(c.numerator)
     return canonical(out)
-
-
-def _graeffe_prime2(f) -> list[int]:
-    fe = f[0::2]
-    fo = f[1::2]
-    d = len(f) - 1
-    out = sub(mul(fe, fe), [0] + mul(fo, fo))
-    if d % 2:
-        out = neg(out)
-    return canonical(out)
-
-
-def _graeffe_prime3(f) -> list[int]:
-    f0 = f[0::3]
-    f1 = f[1::3]
-    f2 = f[2::3]
-    cube = lambda g: mul(g, mul(g, g))
-    out = add(cube(f0), [0] + cube(f1))
-    out = add(out, [0, 0] + cube(f2))
-    out = sub(out, [0] + mul_scalar(mul(f0, mul(f1, f2)), 3))
-    return canonical(out)
-
-
-def _graeffe_prime_generic(f, p) -> list[int]:
-    # G_p(f)(t) = lc(f)^p * prod (t - alpha^p): evaluate the resultant of
-    # f(y) and t - y^p at deg(f) + 1 points and interpolate.
-    d = len(f) - 1
-    xs = []
-    ys = []
-    t = 0
-    while len(xs) < d + 1:
-        B = [t] + [0] * (p - 1) + [-1]
-        xs.append(t)
-        ys.append(_res_standard(f, B))
-        t = -t if t > 0 else -t + 1
-    return _interpolate_int(xs, ys)
-
-
-def graeffe(f, k: int) -> list[int]:
-    """Maps each root to its k-th power; degree is preserved.
-
-    Fast split formulas for the prime steps 2 and 3, a resultant fallback for
-    larger primes, composite k by composing prime steps.  The result is
-    normalized to a positive leading coefficient.
-    """
-    f = canonical(f)
-    if not f:
-        raise ValueError("graeffe of the zero polynomial")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out = f
-    if k > 1:
-        for p, e in factorize(k):
-            for _ in range(e):
-                if p == 2:
-                    out = _graeffe_prime2(out)
-                elif p == 3:
-                    out = _graeffe_prime3(out)
-                else:
-                    out = _graeffe_prime_generic(out, p)
-    if out and out[-1] < 0:
-        out = neg(out)
-    return out
 
 
 def scale_arg(f, lam: Fraction) -> list[int]:

@@ -135,7 +135,7 @@ def cyclo_index_prefix(f, verify=True):
     g, r = qc.core, qc.inflation
     dg = P.degree(g)
     target = -g[-2]
-    cands = [n for n in inverse_totient(dg, squarefree_only=True) if moebius(n) == target]
+    cands = [n for n in inverse_totient(dg) if moebius(n) == target]
     m = 32
     while len(cands) > 1:
         cands = [n for n in cands if _core_matches_prefix(g, n, m)]

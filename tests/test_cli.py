@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -405,3 +406,23 @@ def test_fuzzed_expressions_keep_the_exit_contract(command, text):
 @given(st.sampled_from(_FUZZ_COMMANDS), _coefficient_lists())
 def test_fuzzed_coefficient_lists_keep_the_exit_contract(command, text):
     _check_contract(command, text)
+
+
+@pytest.mark.parametrize("poly", ["x^10000000000+1", "2^99999999999*x+1", "x^3000000000-1"])
+def test_huge_power_exits_two_at_once(poly):
+    # degree 10^10, or a 10^11-bit coefficient, would exhaust memory or
+    # run for hours before any command saw the polynomial
+    for command in (["index"], ["lrs"]):
+        start = time.perf_counter()
+        code, out, err = _run_cli([*command, poly])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("cyclo: error: ") and "Traceback" not in err
+
+
+def test_power_limit_keeps_large_sparse_powers():
+    assert parse_poly("x^200000-1") == [-1] + [0] * 199999 + [1]
+    assert parse_poly("(-1)^100000000000") == [1]
+    assert parse_poly("2^30000*x") == [0, 2**30000]
+    with pytest.raises(PolySyntaxError):
+        parse_poly("3^33554432")

