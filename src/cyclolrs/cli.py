@@ -367,12 +367,14 @@ def cmd_bench(args):
     scenario = args.scenario
     names = list(_SCENARIOS) if scenario == "all" else [scenario]
     rows = []
+    t0 = time.perf_counter()
     for name in names:
         rows.extend(_SCENARIOS[name](args.seed))
+    elapsed = time.perf_counter() - t0
     text = [f"{'case':24} {'deg':>6} {'ms':>10}  summary"]
     for r in rows:
         text.append(f"{r['case']:24} {r['degree']:>6} {r['ms']:>10.2f}  {r['summary']}")
-    return {"scenario": scenario, "cases": rows}, 0.0, None, text
+    return {"scenario": scenario, "cases": rows}, elapsed, None, text
 
 
 # -------------------------------------------------------------------- main

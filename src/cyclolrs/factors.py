@@ -1,11 +1,18 @@
 """Cyclotomic factor-index detection by rational evaluation.
 
-The driver evaluates f at a handful of rationals beta > 1 and keeps the
-indexes k whose evaluation numerator Phi_k(beta)_num still divides the
-accumulated integer N.  Primitive prime factors of p^k - q^k make true
-indexes immortal under this refinement, while random points starve the
-false ones.  An optional exact trial division pass settles whatever
-survives.
+The driver evaluates f at a handful of rationals beta = p/q > 1 and
+keeps the indexes k whose evaluation numerator Phi_k(beta)_num still
+divides the accumulated integer N.  By Zsigmondy's theorem p^k - q^k
+has a prime factor dividing no p^j - q^j with j < k for every k >= 3
+except (p, q, k) = (2, 1, 6); that primitive prime divides Phi_k(beta)_num
+and survives the stripping of earlier survivors' primes, so a true
+index with phi(k) > 2 outlives every pass, while random points starve
+the false ones.  Exact division decides the five indexes with
+phi(k) <= 2 (1, 2, 3, 4 and 6) instead: after folding f mod x^k - 1 it
+costs almost nothing, the theorem has exceptions at k = 1 and 2 and at
+beta = 2 for k = 6, and values as small as Phi_3(beta) and Phi_4(beta)
+divide N by chance too often to be starved.  An optional exact trial
+division pass settles whatever else survives.
 
 All of this runs on the primitive deflated core g of f = c x^e g(x^r)
 only; the indexes of g lift to those of f exactly (poly.lift).
@@ -20,10 +27,6 @@ from . import poly as P
 from .cyclotomic import phi_poly
 from .numtheory import divisors, euler_phi, moebius, saturate, totient_ceiling, totient_sieve
 
-# beta values whose index-3/4/6 evaluation numerators all carry a prime
-# factor above 10^4, used once when the candidate list first stabilizes
-SPECIAL_POINTS = (Fraction(117, 98), Fraction(133, 18), Fraction(169, 6))
-
 _POINT_CAP = 1 << 16
 
 
@@ -32,7 +35,7 @@ class FactorIndexReport(
         "FactorIndexReport", "verified_low candidates verified evaluation_points_used"
     )
 ):
-    """verified_low: subset of [1, 2], established by root test;
+    """verified_low: subset of [1, 2], established by exact division;
     candidates: surviving indexes >= 3, ascending; verified: index ->
     bool, or None when verification skipped."""
 
@@ -118,39 +121,22 @@ def random_rational(rng, previous):
     return Fraction(p, q)
 
 
-def _rem_monic(f, g):
-    # remainder of f by monic g over the integers
-    r = list(f)
-    dg = P.degree(g)
-    while P.degree(r) >= dg:
-        c = r[-1]
-        off = len(r) - 1 - dg
-        for j in range(dg):
-            r[off + j] -= c * g[j]
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
 def divides_exactly(f, k):
     """Does Phi_k divide f?  Reduces f mod x^k - 1 by exponent folding
     first, so the expensive division happens below degree k."""
     folded = [0] * k
     for j, a in enumerate(f):
         folded[j % k] += a
-    while folded and folded[-1] == 0:
-        folded.pop()
-    return _rem_monic(folded, phi_poly(k)) == []
+    return P._divides(phi_poly(k), folded)
 
 
 def _initial_candidates(bound):
-    # all k >= 3 with phi(k) <= bound, sieved up to a proven ceiling
-    if bound < 1:
+    # all k with 2 < phi(k) <= bound, sieved up to a proven ceiling
+    if bound < 3:
         return []
     limit = totient_ceiling(bound)
     phi = totient_sieve(limit)
-    return [k for k in range(3, limit + 1) if phi[k] <= bound]
+    return [k for k in range(1, limit + 1) if 2 < phi[k] <= bound]
 
 
 def _run_bound(f):
@@ -185,12 +171,10 @@ def find_cyclo_factor_indexes(f, rng=None, verify=True):
     evaluated and divided, and each index j of g lifts to the indexes
     poly.lift(j, r) of f with the verdict of j.
 
-    First evaluation point is always 2; afterwards seeded random points
-    refine the list until it stops changing.  The first stabilization
-    triggers one extra pass at a point chosen to starve indexes 3, 4
-    and 6, which plain points have trouble excluding.  Index 6 gets
-    re-added after the initial pass at 2 because 2^6 - 1 carries no
-    prime unseen at smaller exponents, so a genuine 6 can vanish there.
+    The five indexes of degree at most 2 (1, 2, 3, 4 and 6) are decided
+    by exact division.  Every other k with phi(k) <= _run_bound(g) is
+    refined by one pass at 2, then by seeded random points until one
+    leaves the list unchanged.
     """
     f = P.canonical(f)
     if P.degree(f) < 1:
@@ -200,37 +184,16 @@ def find_cyclo_factor_indexes(f, rng=None, verify=True):
     if len(f) - f.count(0) < 2:  # c x^n: no index at all
         return FactorIndexReport([], [], {} if verify else None, [])
     g, r, _ = P.deflate(P.primitive_part(f))
-    low = []
-    if P.eval_int(g, 1) == 0:
-        low.append(1)
-    if P.eval_int(g, -1) == 0:
-        low.append(2)
+    verdict = {j: True for j in (1, 2, 3, 4, 6) if divides_exactly(g, j)}
     L = _initial_candidates(_run_bound(g))
-    points = []
-    beta = Fraction(2)
-    had6 = 6 in L
-    points.append(beta)
-    refined = refine_candidates(g, beta, L)
-    if had6 and 6 not in refined:
-        refined = sorted(refined + [6])
-    L = refined
-    special_done = False
+    points = [Fraction(2)]
+    L = refine_candidates(g, points[-1], L)
     while L:
-        beta = random_rational(rng, beta)
-        points.append(beta)
-        new = refine_candidates(g, beta, L)
+        points.append(random_rational(rng, points[-1]))
+        new = refine_candidates(g, points[-1], L)
         if new == L:
-            if special_done:
-                break
-            special_done = True
-            sp = rng.choice(SPECIAL_POINTS)
-            points.append(sp)
-            new = refine_candidates(g, sp, L)
-            if new == L:
-                break
+            break
         L = new
-    # the indexes 1 and 2 of g are exact; every other j waits on division
-    verdict = dict.fromkeys(low, True)
     for j in L:
         verdict[j] = divides_exactly(g, j) if verify else None
     lifted = {k: ok for j, ok in verdict.items() for k in P.lift(j, r)}

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import count
 
 from .modpoly import gcd_lists_mod
-from .numtheory import crt_symmetric, word_prime
+from .numtheory import crt_symmetric, divisors, word_prime
 
 
 def canonical(f) -> list[int]:
@@ -126,10 +126,11 @@ def deflate(f) -> tuple[list[int], int, int]:
 
 def lift(j: int, r: int) -> set[int]:
     """The k with k / gcd(k, r) = j: the orders of the r-th roots of a
-    primitive j-th root of unity exp(2 pi i / j), which are
-    exp(2 pi i (1 + j t) / (j r)) for 0 <= t < r.  So Phi_k divides
-    g(x^r) iff Phi_j divides g, and the lifts of distinct j never meet."""
-    return {j * r // math.gcd(1 + j * t, j * r) for t in range(r)}
+    primitive j-th root of unity.  So Phi_k divides g(x^r) iff Phi_j
+    divides g, and the lifts of distinct j never meet.  Such a k is
+    j e with e = gcd(k, r) a divisor of r, and gcd(j e, r) = e holds
+    exactly when gcd(j, r / e) = 1."""
+    return {j * e for e in divisors(r) if math.gcd(j, r // e) == 1}
 
 
 def inflate(f, r: int) -> list[int]:
@@ -173,17 +174,17 @@ def div_exact(f, g) -> list[int]:
     if len(f) < len(g):
         raise ArithmeticError("division not exact: degree too small")
     rem = list(f)
+    n = len(g)
     lb = g[-1]
-    q = [0] * (len(f) - len(g) + 1)
+    q = [0] * (len(f) - n + 1)
     for i in reversed(range(len(q))):
-        c = rem[i + len(g) - 1]
+        c = rem[i + n - 1]
         if c % lb:
             raise ArithmeticError("division not exact")
         qi = c // lb
         q[i] = qi
         if qi:
-            for j, bc in enumerate(g):
-                rem[i + j] -= qi * bc
+            rem[i : i + n] = [a - qi * b for a, b in zip(rem[i : i + n], g)]
     if any(rem):
         raise ArithmeticError("division not exact: nonzero remainder")
     return canonical(q)

@@ -264,6 +264,11 @@ def test_bench_factors_reports_no_misses(capsys):
     assert all(r["ms"] >= 0 and r["degree"] > 0 for r in rows)
 
 
+def test_bench_timings_measure_the_scenarios(capsys):
+    code, doc, _ = run_json(capsys, ["--timings", "bench", "index", "--seed", "1"])
+    assert code == 0 and doc["timings_ms"]["total"] > 0
+
+
 def test_bench_rejects_unknown_scenario():
     with pytest.raises(SystemExit) as e:
         main(["bench", "everything"])

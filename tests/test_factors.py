@@ -87,8 +87,8 @@ def test_find_indexes_full_small_product():
 
 
 def test_find_indexes_346_products():
-    # 2^6 - 1 has no prime unseen at exponents 2 and 3, so index 6 needs
-    # the re-add after the pass at 2
+    # 2^6 - 1 has no prime unseen at exponents 2 and 3, so the pass at 2
+    # would drop a genuine 6; exact division decides 3, 4 and 6 instead
     f = cyclotomic_product([3, 4, 6])
     r = find_cyclo_factor_indexes(f, rng=random.Random(5))
     assert verified_set(r) == [3, 4, 6]
@@ -226,21 +226,44 @@ def test_indexes_match_exact_division_under_content_sign_x_powers_and_x_r():
             g = [rng.choice([-3, -1, 2]), 1]
         c = rng.choice([1, 2, -3, 6, -1])
         f = [0] * rng.randint(0, 3) + mul_scalar(P.inflate(g, rng.choice([1, 2, 3, 4, 6])), c)
+        want = true_indexes(f)
         rep = find_cyclo_factor_indexes(f, rng=random.Random(trial), verify=True)
-        assert found_indexes(rep) == true_indexes(f), (trial, f)
+        assert found_indexes(rep) == want, (trial, f)
+        # unverified, every true index is still listed, and the indexes
+        # of degree <= 2 are listed only when true (division decides them)
+        rep = find_cyclo_factor_indexes(f, rng=random.Random(trial), verify=False)
+        listed = set(rep.verified_low) | set(rep.candidates)
+        assert set(want) <= listed, (trial, f)
+        assert listed & {1, 2, 3, 4, 6} <= set(want), (trial, f)
+
+
+def spy_refine(monkeypatch):
+    """Record (degree of f, offered candidates) for every evaluation pass."""
+    seen = []
+    refine = factors.refine_candidates
+
+    def spy(f, beta, L):
+        seen.append((P.degree(f), list(L)))
+        return refine(f, beta, L)
+
+    monkeypatch.setattr(factors, "refine_candidates", spy)
+    return seen
 
 
 def test_composition_evaluates_only_its_core(monkeypatch):
     # 2 (x^2000 - 1) = 2 g(x^2000) with g = x - 1: the 20 divisors of
     # 2000 come from lifting index 1 of g, and no pass sees degree 2000
-    seen = []
-    refine = factors.refine_candidates
-
-    def spy(f, beta, L):
-        seen.append(P.degree(f))
-        return refine(f, beta, L)
-
-    monkeypatch.setattr(factors, "refine_candidates", spy)
+    seen = spy_refine(monkeypatch)
     rep = find_cyclo_factor_indexes([-2] + [0] * 1999 + [2], rng=random.Random(1))
     assert found_indexes(rep) == list(divisors(2000))
-    assert seen and max(seen) <= 1
+    assert seen and all(d <= 1 for d, _ in seen)
+
+
+def test_no_pass_is_offered_the_indexes_of_degree_at_most_2(monkeypatch):
+    rng = random.Random(20261021)
+    ks = sorted({3, 4, 6} | set(rng.sample(range(5, 40), 6)))
+    for want in ([3, 4, 6], ks):
+        seen = spy_refine(monkeypatch)
+        rep = find_cyclo_factor_indexes(cyclotomic_product(want), rng=random.Random(4))
+        assert verified_set(rep) == want
+        assert seen and all(euler_phi(k) > 2 for _, L in seen for k in L)

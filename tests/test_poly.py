@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclolrs import poly as P
-from cyclolrs.numtheory import word_prime
+from cyclolrs.numtheory import divisors, word_prime
 from oracles import graeffe
 
 
@@ -198,6 +198,16 @@ def test_deflate_reinflates(data):
         return
     g, r, d0 = P.deflate(f)
     assert [0] * d0 + P.inflate(g, r) == f
+
+
+def test_lift_matches_root_orders():
+    # oracle: the orders j r / gcd(1 + j t, j r), 0 <= t < r, of the r-th
+    # roots of exp(2 pi i / j), one gcd per root
+    for j in range(1, 61):
+        for r in range(1, 121):
+            want = {j * r // math.gcd(1 + j * t, j * r) for t in range(r)}
+            assert P.lift(j, r) == want, (j, r)
+    assert P.lift(1, 2**25) == set(divisors(2**25))
 
 
 def test_eval_rational_num_pinned():
