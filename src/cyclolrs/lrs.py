@@ -23,7 +23,8 @@ slow reference oracle.
 preprocess only normalizes f.  The scan then writes its core once as
 g(x^r), r maximal, shrinks the coefficients of g by a rational scaling,
 and scans g alone: the orders of g(x^r) are the divisors k > 1 of r and
-the lifts of the orders of g (poly.lift).
+the lifts of the orders of g (poly.lift).  The least-order modes scan g
+only below the bound that _least_order_start finds.
 
 The scan tests every candidate up to 18 first, and a Galois certificate
 then usually ends it before the rest of the sieve is even built.  An
@@ -170,7 +171,8 @@ def reduce_coefficients(f):
 
 
 def _strip_rational_roots(f, budget=512):
-    # budgeted: factoring the end coefficients must be cheap or we skip
+    # budgeted: factoring the end coefficients must be cheap or we skip.  A root
+    # b/q needs q - b | f(1) and q + b | f(-1); a zero divisor passes as 1
     removed = []
     while P.degree(f) >= 2:
         a0, ad = abs(f[0]), abs(f[-1])
@@ -179,8 +181,9 @@ def _strip_rational_roots(f, budget=512):
         nums, dens = divisors(a0), divisors(ad)
         if len(nums) * len(dens) > budget:
             break
-        candidates = (Fraction(s * a, q) for q in dens for a in nums if math.gcd(a, q) == 1
-                      for s in (1, -1))
+        at1, at_minus1 = P.eval_int(f, 1), P.eval_int(f, -1)
+        candidates = (Fraction(b, q) for q in dens for a in nums if math.gcd(a, q) == 1
+                      for b in (a, -a) if at1 % ((q - b) or 1) == at_minus1 % ((q + b) or 1) == 0)
         root = next((x for x in candidates if P.eval_rational_num(f, x) == 0), None)
         if root is None:
             break
@@ -195,7 +198,7 @@ def preprocess(f):
     orders.  Returns (core, steps), steps the log lines of what was done.
 
     Everything else happens once, in lrs_degeneracy_orders: deflation,
-    coefficient scaling and the decision-mode shortcuts.
+    coefficient scaling and the least-order start.
     """
     f = P.canonical(f)
     if P.degree(f) < 1:
@@ -220,28 +223,24 @@ def preprocess(f):
     return f, steps
 
 
-def _decision_shortcuts(f, steps, rng):
-    """Decision mode's reductions of a deflated core f of degree >= 2,
-    allowed because only the existence of an order matters: a common
-    factor with f(-x) settles the question at order 2, a cyclotomic
-    factor of index above 2 settles it via the orders every cyclotomic
-    polynomial carries, and linear factors can no longer contribute once
-    order 2 is excluded.  Returns (settled order or None, stripped f)."""
-    if _has_order_2(f):
-        steps.append("common factor with f(-x): order 2")
-        return 2, f
-    rep = factors.find_cyclo_factor_indexes(f, rng=rng, verify=True)
-    witness = next((k for k in rep.candidates if rep.verified.get(k)), None)
-    if witness is not None:
-        # an odd index k is itself an order; an even survivor of the
-        # f(-x) test has k = 2 mod 4, making k/2 an odd order
-        w = witness if witness % 2 else witness // 2
-        steps.append(f"cyclotomic factor of index {witness}: order {w}")
-        return w, f
-    f, removed = _strip_rational_roots(f)
+def _least_order_start(g, best, steps, rng):
+    """Lower best, the least order known or None, on a deflated core g
+    of degree >= 2 without order 2, and strip its linear factors.  The
+    least odd prime q of the index w of a cyclotomic factor is an order,
+    as Phi_w has roots zeta_w^a and zeta_w^(a+w/q) (w is no power of 2:
+    with 4 | w, Phi_w has order 2).  A rational root a pairs with zeta a
+    only through a^phi(k) Phi_k(x/a), k >= 3 without order 2, whose own
+    roots stay and carry an order <= k.  Returns (best, stripped g)."""
+    rep = factors.find_cyclo_factor_indexes(g, rng=rng, verify=True)
+    witnesses = [(factorize(w // (w & -w))[0][0], w) for w in rep.candidates if rep.verified[w]]
+    if witnesses and (best is None or min(witnesses)[0] < best[0]):
+        q, w = min(witnesses)
+        best = (q, "verified")
+        steps.append(f"cyclotomic factor of index {w}: order {q}")
+    g, removed = _strip_rational_roots(g)
     if removed:
         steps.append(f"linear factors removed at {removed}")
-    return None, f
+    return best, g
 
 
 def verify_order(f, k):
@@ -502,13 +501,14 @@ def lrs_degeneracy_orders(f, rng=None, verify=True, mode="all_orders", conjectur
 
     The preprocessed core is written once as g(x^r) with r maximal, the
     coefficients of g are shrunk when deg g >= 2 (reduce_coefficients),
-    and only g is scanned.  In decision_only mode with r = 1 the
-    shortcuts of _decision_shortcuts run on g first; a root strip may
-    leave a composition, which is deflated once more.  Candidates come
-    from the totient sieve for deg g; each is screened by three rounds
-    of modular twisted-gcd tests and, when verify is set, settled
-    exactly.  first_order and decision_only stop at the smallest
-    confirmed order.  Every candidate up to 18 is tested first; a Galois
+    and only g is scanned.  Candidates come from the totient sieve for
+    deg g; each is screened by three rounds of modular twisted-gcd tests
+    and, when verify is set, settled exactly.  first_order and
+    decision_only bound the least order by the least prime of r, order 2
+    and _least_order_start.  decision_only answers with a bound found;
+    first_order, and decision_only without one, scan the stripped g
+    below it for the smallest confirmed order.  Every candidate up to 18
+    is tested first; a Galois
     certificate may then end the scan before the sieve is built: see
     _galois_certificate.  Each order of g lifts with its status
     (poly.lift), and the divisors k > 1 of r are verified.  Results are
@@ -533,12 +533,6 @@ def lrs_degeneracy_orders(f, rng=None, verify=True, mode="all_orders", conjectur
         if scaled != g:
             g = P.primitive_part(scaled)
             steps.append(f"coefficients reduced, lambda {lam}")
-    if r == 1 and mode == "decision_only" and P.degree(g) >= 2:
-        settled, stripped = _decision_shortcuts(g, steps, random.Random(master))
-        if settled is not None:
-            return _report([(settled, "verified")], steps, (), mode, conjecture_bound)
-        if stripped != g:  # (x - 2)(x^3 + 3) leaves x^3 + 3
-            g, r, _ = P.deflate(stripped)
     implied = tuple(k for k in divisors(r) if k > 1)
     if implied:
         steps.append(f"composed in x^{r}: orders {list(implied)} implied")
@@ -546,19 +540,21 @@ def lrs_degeneracy_orders(f, rng=None, verify=True, mode="all_orders", conjectur
 
     # first_order / decision_only stop at the first confirmed order, best.
     # The least prime p of r is an order, and an order j < p of g lifts
-    # to j and multiples of j, so best starts at p and needs no lift;
-    # decision_only answers p at once.
+    # to j and multiples of j, so best starts at p and needs no lift.
     best = None
     if r > 1 and mode != "all_orders":
         best = (factorize(r)[0][0], "verified")
-        if mode == "decision_only":
-            return _report([best], steps, implied, mode, conjecture_bound)
     found = []
-    if d >= 2 and mode != "decision_only" and (best is None or best[0] > 2):
-        if _has_order_2(g):
-            found.append((2, "verified"))
-            if mode == "first_order":
-                return _report(found, steps, implied, mode, conjecture_bound)
+    if d >= 2 and (best is None or best[0] > 2) and _has_order_2(g):
+        steps.append("common factor with f(-x): order 2")
+        found.append((2, "verified"))
+        if mode != "all_orders":
+            return _report(found, steps, implied, mode, conjecture_bound)
+    if mode != "all_orders" and d >= 2 and (best is None or best[0] > 2):
+        best, g = _least_order_start(g, best, steps, random.Random(master))
+        d = P.degree(g)
+    if mode == "decision_only" and best is not None:
+        return _report([best], steps, implied, mode, conjecture_bound)
 
     # group minima increase: a group that starts at best or later is moot
     batches = _candidate_batches(d, conjecture_bound) if d >= 2 else ()

@@ -57,6 +57,11 @@ def corpus():
     out.append(("g(x) g(-x) h(x), deg g 5, deg h 4", P.mul(P.mul(g[:6], negate_arg(g[:6])), h)))
     out.append(("g(x) reverse(g(x)), deg g 9", P.mul(g, P.reverse(g))))
     out.append(("Phi_19(2x) r, deg r 6", P.mul(scaled_phi(19, 2), random_poly(rng, 6))))
+    # the least-order start: a witness below the index, a linear factor
+    # stripped before the certificate, and a witness above 18
+    out.append(("Phi_15 r, deg r 6", P.mul(phi_poly(15), random_poly(rng, 6))))
+    out.append(("(x - 2) r, deg r 10", P.mul([-2, 1], random_poly(rng, 10))))
+    out.append(("Phi_23 r, deg r 4", P.mul(phi_poly(23), random_poly(rng, 4))))
     return out
 
 

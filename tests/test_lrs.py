@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -200,7 +201,7 @@ def test_preprocess_takes_radical():
     three = ((3, "verified"),)
     assert reports(f) == {
         "all_orders": (three, ("radical taken",), ()),
-        "first_order": (three, ("radical taken",), ()),
+        "first_order": (three, ("radical taken", "cyclotomic factor of index 3: order 3"), ()),
         "decision_only": (three, ("radical taken", "cyclotomic factor of index 3: order 3"), ()),
     }
 
@@ -231,7 +232,7 @@ def test_preprocess_decision_mode_settles_on_cyclotomic_factor():
     assert rep.orders == ((5, "verified"),)
     assert rep.preprocessing_log == ("cyclotomic factor of index 5: order 5",)
     assert rep.implied_by_deflation == ()
-    assert scan(f, rng=4).preprocessing_log == ()  # the shortcut is decision mode's only
+    assert scan(f, rng=4).preprocessing_log == ()  # the witness is the least-order modes' only
 
 
 def test_preprocess_decision_mode_even_index_witness():
@@ -579,38 +580,40 @@ def test_binomials_answer_from_their_deflation(d):
     "lin, d, c", [([-2, 1], 3, 3), ([1, 2], 5, -3), ([-3, 1], 7, 5), ([5, -1], 3, 2)]
 )
 def test_binomial_core_left_by_root_stripping(lin, d, c):
-    # decision mode strips the rational root of the linear factor and
-    # deflates what is left, x^d + c, once more: the root ratios of
+    # the least-order modes strip the rational root of the linear factor
+    # and scan what is left, x^d + c, as it is: the root ratios of
     # x^d + c are the d-th roots of unity (d is odd: an even d shares
     # x^d + c with f(-x) and settles at 2)
     f = P.mul(lin, [c] + [0] * (d - 1) + [1])
     want = cdm_algorithm1([c] + [0] * (d - 1) + [1])
     root = Fraction(-lin[0], lin[1])
-    log = (f"linear factors removed at [{root!r}]", f"composed in x^{d}: orders {want} implied")
+    log = (f"linear factors removed at [{root!r}]",)
     for verify in (True, False):
-        rep = scan(f, verify=verify, mode="decision_only")
-        assert rep.orders == ((want[0], "verified"),)
-        assert rep.preprocessing_log == log and rep.implied_by_deflation == tuple(want)
+        for mode in ("first_order", "decision_only"):
+            rep = scan(f, verify=verify, mode=mode)
+            assert rep.orders == ((want[0], "verified" if verify else "probable"),)
+            assert rep.preprocessing_log == log and rep.implied_by_deflation == ()
         assert [k for k, s in scan(f, verify=verify).orders if s != "refuted"] == want
 
 
-def test_root_strip_leaving_a_composition_logs_its_deflation():
-    # (x - 2)(x^3 + 3): decision mode strips x = 2 and deflates x^3 + 3
-    rep = scan([-6, 3, 0, -2, 1], mode="decision_only")
-    assert rep.orders == ((3, "verified"),)
-    assert rep.preprocessing_log == (
-        "linear factors removed at [Fraction(2, 1)]",
-        "composed in x^3: orders [3] implied",
-    )
-    assert rep.implied_by_deflation == (3,)
-    rep = scan([-6, 3, 0, -2, 1])  # no strip outside decision mode
+def test_root_strip_leaving_a_composition_scans_it_as_is():
+    # (x - 2)(x^3 + 3): the least-order modes strip x = 2 and scan
+    # x^3 + 3 without deflating it again
+    for mode in ("first_order", "decision_only"):
+        rep = scan([-6, 3, 0, -2, 1], mode=mode)
+        assert rep.orders == ((3, "verified"),)
+        assert rep.preprocessing_log == ("linear factors removed at [Fraction(2, 1)]",)
+        assert rep.implied_by_deflation == ()
+    rep = scan([-6, 3, 0, -2, 1])  # no strip in all_orders
     assert rep.orders == ((3, "verified"),)
     assert rep.preprocessing_log == () and rep.implied_by_deflation == ()
 
 
 def test_scaling_runs_on_the_deflated_core_only(monkeypatch):
-    # an all_orders or first_order request deflates its core once, and
-    # only a deflated g of degree >= 2 has its coefficients shrunk
+    # an all_orders or first_order request deflates its core once (the
+    # cyclotomic-factor witness deflates inside factors, which is not
+    # counted), and only a deflated g of degree >= 2 has its
+    # coefficients shrunk
     deflate = P.deflate
     scaled, deflated = [], []
 
@@ -624,7 +627,8 @@ def test_scaling_runs_on_the_deflated_core_only(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     watch(lrs, "reduce_coefficients", scaled)
-    watch(P, "deflate", deflated)
+    monkeypatch.setattr(lrs, "P", types.SimpleNamespace(**vars(P)))  # lrs's own P only
+    watch(lrs.P, "deflate", deflated)
     rng = random.Random(41)
     scalable = [3125, 1000, 300, 80, 16]  # shrinks to x^4 + 2x^3 + 3x^2 + 4x + 5
     corpus = [[-32, 0, 0, 0, 0, 3], [3, 0, 0, 0, 0, 0, 7], P.inflate(scalable, 3)]
@@ -677,6 +681,116 @@ def test_decision_only_settles_via_cyclotomic_factor():
 
 def test_decision_only_empty_for_plain_polynomial():
     assert scan([3, 1, 1], mode="decision_only").orders == ()
+
+
+# ------------------------------------------------------ least-order start
+
+
+def least_order_corpus():
+    """Inputs of degree <= 12: cyclotomic products times a random factor,
+    random factors times linear ones, compositions g(x^r) and
+    g(x) g(-x) h(x)."""
+    rng = random.Random(1923)
+    small = [k for k in range(3, 31) if euler_phi(k) <= 8]
+    out = []
+    for _ in range(16):
+        ks = rng.sample(small, 2)
+        while sum(euler_phi(k) for k in ks) > 8:
+            ks.pop()
+        out.append(P.mul(cyclotomic_product(ks), random_poly(rng, rng.randint(1, 4), h=20)))
+    for _ in range(16):
+        f = random_poly(rng, rng.randint(2, 6), h=20)
+        for _ in range(rng.randint(1, 3)):
+            f = P.mul(f, [rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5)])
+        out.append(f)
+    for _ in range(12):
+        out.append(P.inflate(random_poly(rng, rng.randint(1, 4), h=20), rng.randint(2, 3)))
+    for _ in range(12):
+        g = random_poly(rng, rng.randint(1, 3), h=20)
+        out.append(P.mul(P.mul(g, negate_arg(g)), random_poly(rng, rng.randint(1, 4), h=20)))
+    return out
+
+
+def test_least_order_modes_agree_with_oracle():
+    # first_order is the least order, decision_only one of the orders,
+    # whichever of the least prime of r, order 2, the witness, the strip
+    # and the scan settles it
+    rng = random.Random(1924)
+    for f in least_order_corpus():
+        core, _ = preprocess(f)
+        assert 2 <= P.degree(core) <= 12
+        want = cdm_algorithm1(core)
+        seed = rng.randrange(2**32)
+        for verify in (True, False):
+            first, decided = (
+                [k for k, s in scan(f, rng=seed, verify=verify, mode=mode).orders if s != "refuted"]
+                for mode in ("first_order", "decision_only")
+            )
+            assert first == want[:1], (f, verify)
+            assert len(decided) == len(want[:1]) and set(decided) <= set(want), (f, verify)
+
+
+def test_first_order_scans_only_below_its_witness(monkeypatch):
+    # Phi_23 r: the witness gives 23, so no candidate from 23 up is
+    # verified, where a plain scan would verify 23 itself
+    asked = []
+    inner = lrs.verify_order
+
+    def spy(f, k):
+        asked.append(k)
+        return inner(f, k)
+
+    monkeypatch.setattr(lrs, "verify_order", spy)
+    f = P.mul(phi_poly(23), random_poly(random.Random(23), 4, h=1024))
+    rep = scan(f, mode="first_order")
+    assert rep.orders == ((23, "verified"),)
+    assert rep.preprocessing_log == ("cyclotomic factor of index 23: order 23",)
+    assert all(k < 23 for k in asked), asked
+
+
+def test_order_two_between_rational_roots_comes_before_the_strip():
+    # (x - 2)(x + 2) h: the roots 2 and -2 carry order 2, which the strip
+    # would remove
+    f = P.mul([-4, 0, 1], random_poly(random.Random(2), 4))
+    for mode in ("first_order", "decision_only"):
+        rep = scan(f, mode=mode)
+        assert rep.orders == ((2, "verified"),)
+        assert rep.preprocessing_log == ("common factor with f(-x): order 2",)
+
+
+def unfiltered_root_strip(f, budget=512):
+    # _strip_rational_roots without the f(1), f(-1) divisibility filter
+    removed = []
+    while P.degree(f) >= 2:
+        a0, ad = abs(f[0]), abs(f[-1])
+        if a0 > 10**12 or ad > 10**12:
+            break
+        nums, dens = divisors(a0), divisors(ad)
+        if len(nums) * len(dens) > budget:
+            break
+        candidates = (Fraction(s * a, q) for q in dens for a in nums if math.gcd(a, q) == 1
+                      for s in (1, -1))
+        root = next((x for x in candidates if P.eval_rational_num(f, x) == 0), None)
+        if root is None:
+            break
+        f = P.div_exact(f, [-root.numerator, root.denominator])
+        removed.append(root)
+    return f, removed
+
+
+def test_root_strip_filter_keeps_every_rational_root():
+    # roots at 1 and -1 make a divisor q -+ b zero, and f(1) or f(-1) zero
+    rng = random.Random(1812)
+    stripped = 0
+    for _ in range(150):
+        f = random_poly(rng, rng.randint(1, 5), h=30)
+        for _ in range(rng.randint(0, 4)):
+            q = rng.randint(1, 4)
+            f = P.mul(f, [-rng.choice((-1, 1)) * rng.randint(1, 2 * q), q])
+        want = unfiltered_root_strip(f)
+        assert lrs._strip_rational_roots(f) == want, f
+        stripped += len(want[1])
+    assert stripped > 100
 
 
 def test_unverified_scan_reports_probable():
@@ -810,11 +924,17 @@ def test_compositions_agree_with_oracle():
 
 def test_first_order_of_g_between_18_and_the_least_prime_of_r():
     # Phi_19 has the single order 19, which lifts to 19 and 437 under
-    # x^23; 19 < 23 is the first order, found past the first group
+    # x^23; 19 < 23 is the first order, which its cyclotomic-factor
+    # witness gives both least-order modes
     f = P.inflate(phi_poly(19), 23)
     assert scan(f, mode="first_order").orders == ((19, "verified"),)
-    assert scan(f, mode="decision_only").orders == ((23, "verified"),)
+    assert scan(f, mode="decision_only").orders == ((19, "verified"),)
     assert scan(f).verified_orders() == [19, 23, 437]
+    # Phi_19(2x) is no cyclotomic factor, so first_order finds 19 past
+    # the first group, and decision_only answers the least prime of r
+    f = P.inflate(P.mul(scaled_phi(19, 2), [3, 1, 1]), 23)
+    assert scan(f, mode="first_order").orders == ((19, "verified"),)
+    assert scan(f, mode="decision_only").orders == ((23, "verified"),)
     # an order-free g leaves the least prime of r, with or without the
     # Galois certificate ending the scan of g
     g = random_poly(random.Random(19), 10, h=50)
